@@ -67,6 +67,16 @@ def _print_leaf_function(lf: LeafFunction, as_json: bool) -> None:
         print(", ".join(f"{i} -> {v!r}" for i, v in enumerate(lf.values)))
 
 
+def _vertex_list(text: str) -> list[int]:
+    vertices = []
+    for part in text.split(","):
+        try:
+            vertices.append(int(part))
+        except ValueError:
+            raise ValueError(f"--highlight: vertex {part.strip()!r} is not an integer") from None
+    return vertices
+
+
 def _word_arg(args) -> str:
     if args.empty:
         if args.word:
@@ -139,8 +149,7 @@ def _run(args) -> int:
     if args.command == "generate":
         g = _build_family(args.family, args.param)
         if args.dot:
-            hi = [int(x) for x in args.highlight.split(",")] if args.highlight else ()
-            sys.stdout.write(graph.to_dot(g, hi))
+            sys.stdout.write(graph.to_dot(g, _vertex_list(args.highlight) if args.highlight else ()))
         else:
             sys.stdout.write(graph.write_edge_list(g))
         return 0

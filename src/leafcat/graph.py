@@ -197,26 +197,46 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise ValueError(f"bad {what} line {line.strip()!r}: expected two integers")
+
+
 def read_edge_list(text: str) -> Graph:
+    """Parse the format of `write_edge_list`.
+
+    The header's m must equal the number of edge lines, and no edge may be
+    listed twice (in either orientation).
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    try:
-        n, m = map(int, lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad header line: {lines[0]!r}") from exc
+    n, m = _int_pair(lines[0], "header")
+    if n < 0:
+        raise ValueError(f"bad header line {lines[0].strip()!r}: n must be >= 0")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        edges.append((u, v))
+        u, v = _int_pair(ln, "edge")
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise ValueError(f"edge line {ln.strip()!r} repeats edge {edge}")
+        edges.add(edge)
     return Graph.from_edges(n, edges)
 
 
 def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
     """Graphviz export; vertices in `highlight` get color=blue."""
     hi = set(highlight)
+    for v in sorted(hi):
+        if not 0 <= v < g.n:
+            raise ValueError(f"highlighted vertex {v} out of range for n={g.n}")
     lines = ["graph G {"]
     for v in range(g.n):
         attr = " [color=blue]" if v in hi else ""

@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
-
 from .graph import Graph
 
 DEFAULT_MAX_N = 20
@@ -183,6 +181,10 @@ FREE_TREE_MAX_N = 14
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees on n vertices."""
+    # networkx takes about 0.2 s to import and nothing else here needs it, so
+    # it is loaded on first use rather than with the package.
+    import networkx as nx
+
     if not 1 <= n <= FREE_TREE_MAX_N:
         raise ValueError(f"n={n} outside supported range 1..{FREE_TREE_MAX_N}")
     if n == 1:

@@ -74,7 +74,12 @@ def _word_of_delta(lw) -> str:
 # poset
 
 
+POSET_MAX_SIZE = 9
+
+
 def suite_poset(max_size: int = 7) -> list[VerifyReport]:
+    if max_size > POSET_MAX_SIZE:
+        raise ValueError(f"poset suite supports max_size <= {POSET_MAX_SIZE}")
     seqs = catseq.all_sequences(max_size)
 
     def reflexivity():
@@ -124,7 +129,12 @@ def suite_poset(max_size: int = 7) -> list[VerifyReport]:
 # morphism / algebra
 
 
+MORPHISM_MAX_LEN = 10
+
+
 def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
+    if max_len > MORPHISM_MAX_LEN:
+        raise ValueError(f"morphism suite supports max_len <= {MORPHISM_MAX_LEN}")
     pair_len = min(max_len, 6)
     pair_words = _all_words(pair_len)
     all_words = _all_words(max_len)
@@ -308,9 +318,12 @@ def _tree_leaf_word(g: Graph) -> str:
     return _word_of_delta(delta_leaf_word(lf))
 
 
+TREES_MAX_N = 13
+
+
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
-    if max_n > 13:
-        raise ValueError("trees suite supports max_n <= 13")
+    if max_n > TREES_MAX_N:
+        raise ValueError(f"trees suite supports max_n <= {TREES_MAX_N}")
     reports = []
 
     def all_prefix_normal():
@@ -353,22 +366,25 @@ SUITE_ALIASES = {"theorem53": "roundtrip", "theorem61": "leaf-equivalence"}
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
+    """Run one suite, or all of them at their defaults, and return the reports.
+
+    `max_n` is the bound of a single suite; the suites' bounds differ too much
+    for one value to serve them all, so it cannot be given with "all".
+    """
     if name == "all":
-        # suite defaults; per-suite bounds differ too much for one knob
-        out = []
-        for s in SUITES:
-            out += run_suite(s, None)
-        return out
+        if max_n is not None:
+            raise ValueError("a bound applies to a single suite, not to 'all'")
+        return [r for s in SUITES for r in run_suite(s)]
     name = SUITE_ALIASES.get(name, name)
-    opt = {} if max_n is None else {"max_n": max_n}
+    bound = () if max_n is None else (max_n,)
     if name == "poset":
-        return suite_poset(**({"max_size": max_n} if max_n is not None else {}))
+        return suite_poset(*bound)
     if name == "morphism":
-        return suite_morphism(**({"max_len": max_n} if max_n is not None else {}))
+        return suite_morphism(*bound)
     if name == "roundtrip":
-        return suite_roundtrip(**({"max_len": max_n} if max_n is not None else {}))
+        return suite_roundtrip(*bound)
     if name == "leaf-equivalence":
-        return suite_leaf_equivalence(**({"max_len": max_n} if max_n is not None else {}))
+        return suite_leaf_equivalence(*bound)
     if name == "trees":
-        return suite_trees(**opt)
+        return suite_trees(*bound)
     raise ValueError(f"unknown suite {name!r}")

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import leafcat
 from leafcat.cli import main
 from leafcat.graph import read_edge_list, wheel, write_edge_list
 
@@ -28,6 +33,14 @@ def test_generate_dot(capsys):
                        "--dot", "--highlight", "0,2")
     assert code == 0
     assert "0 [color=blue];" in out and "2 [color=blue];" in out
+
+
+def test_generate_dot_rejects_bad_highlight(capsys):
+    for highlight, vertex in (("0,3", "3"), ("-1", "-1"), ("0,x", "'x'"), ("0,,1", "''")):
+        code, out, err = run(capsys, "generate", "--family", "chain", "--param", "3",
+                             "--dot", "--highlight", highlight)
+        assert code == 2 and out == ""
+        assert f"vertex {vertex} " in err
 
 
 def test_leaf_function_wheel(capsys):
@@ -155,6 +168,42 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "leaf-function")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "leaf-function", "/nonexistent/path")[0] == 2
+
+
+def test_malformed_edge_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for text in ("3 3\n0 1\n1 2\n0 1\n", "3 1\n0 1 2\n", "3 1\n0 x\n"):
+        path.write_text(text)
+        code, out, err = run(capsys, "leaf-function", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "line" in err
+
+
+def test_verify_all_rejects_bound(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "5")
+    assert code == 2 and out == ""
+    assert "'all'" in err
+
+
+def test_cold_start_leaves_networkx_unloaded():
+    # networkx is imported only to enumerate free trees
+    script = (
+        "import sys\n"
+        "import leafcat.cli\n"
+        "assert 'networkx' not in sys.modules, 'import'\n"
+        "leafcat.cli.main(['rc', '0101'])\n"
+        "assert 'networkx' not in sys.modules, 'rc'\n"
+        "from leafcat.subtrees import enumerate_free_trees\n"
+        "assert len(list(enumerate_free_trees(4))) == 2\n"
+        "assert 'networkx' in sys.modules, 'free trees'\n"
+    )
+    src = str(Path(leafcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1,1,2"
 
 
 def test_machine_outputs_reparse(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from leafcat.graph import (
@@ -148,6 +150,19 @@ def test_edge_list_rejects_bad_input():
         read_edge_list("")
     with pytest.raises(ValueError):
         read_edge_list("2 2\n0 1\n")
+    bad = {
+        "3 3\n0 1\n1 2\n0 1\n": "repeats edge (0, 1)",
+        "3 2\n0 1\n1 0\n": "repeats edge (0, 1)",
+        "3 1\n0 1 2\n": "bad edge line '0 1 2'",
+        "3 1\n0\n": "bad edge line '0'",
+        "3 1\n0 x\n": "bad edge line '0 x'",
+        "3\n": "bad header line '3'",
+        "3 a\n": "bad header line '3 a'",
+        "-1 0\n": "n must be >= 0",
+    }
+    for text, message in bad.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_edge_list(text)
 
 
 def test_dot_export():

@@ -1,0 +1,34 @@
+import pytest
+
+from leafcat import verify
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make any start of a suite's enumeration fail the test."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(verify.catseq, "all_sequences", started)
+    monkeypatch.setattr(verify, "_all_words", started)
+    monkeypatch.setattr(verify, "enumerate_free_trees", started)
+    for suite in verify.SUITES:
+        monkeypatch.setattr(verify, f"suite_{suite.replace('-', '_')}", started)
+
+
+@pytest.mark.parametrize("suite, cap", [
+    (verify.suite_poset, verify.POSET_MAX_SIZE),
+    (verify.suite_morphism, verify.MORPHISM_MAX_LEN),
+    (verify.suite_trees, verify.TREES_MAX_N),
+])
+def test_suite_rejects_bound_above_cap(suite, cap, no_enumeration):
+    with pytest.raises(ValueError, match=f"<= {cap}"):
+        suite(cap + 1)
+
+
+def test_all_rejects_a_bound(no_enumeration):
+    with pytest.raises(ValueError, match="'all'"):
+        verify.run_suite("all", 5)
+    with pytest.raises(AssertionError, match="enumeration started"):
+        verify.run_suite("all")
