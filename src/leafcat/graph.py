@@ -210,8 +210,8 @@ def _int_pair(line: str, what: str) -> tuple[int, int]:
 def read_edge_list(text: str) -> Graph:
     """Parse the format of `write_edge_list`.
 
-    The header's m must equal the number of edge lines, and no edge may be
-    listed twice (in either orientation).
+    The header's m must equal the number of edge lines; a repeated edge line
+    is merged by `Graph.from_edges`.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -221,13 +221,7 @@ def read_edge_list(text: str) -> Graph:
         raise ValueError(f"bad header line {lines[0].strip()!r}: n must be >= 0")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = set()
-    for ln in lines[1:]:
-        u, v = _int_pair(ln, "edge")
-        edge = (min(u, v), max(u, v))
-        if edge in edges:
-            raise ValueError(f"edge line {ln.strip()!r} repeats edge {edge}")
-        edges.add(edge)
+    edges = [_int_pair(ln, "edge") for ln in lines[1:]]
     return Graph.from_edges(n, edges)
 
 
