@@ -18,6 +18,7 @@ from .subtrees import (
     enumerate_induced_subtrees,
     fully_leafed_witness,
     leaf_function_bruteforce,
+    leaf_function_tree,
 )
 from .catseq import (
     decompose,

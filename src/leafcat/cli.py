@@ -147,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     if args.command == "generate":
+        if args.highlight is not None and not args.dot:
+            raise ValueError("--highlight needs --dot")
         g = _build_family(args.family, args.param)
         if args.dot:
             sys.stdout.write(graph.to_dot(g, _vertex_list(args.highlight) if args.highlight else ()))

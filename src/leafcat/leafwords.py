@@ -9,23 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catseq import leaf_function_caterpillar
-from .subtrees import NEG_INF, LeafFunction
+from .subtrees import NEG_INF, LeafFunction, Sentinel
 from .words import check_binary, is_prefix_normal, pn_violation, prefix_ones, rc
 
-
-class _Omega:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "w"
-
-
-OMEGA = _Omega()
+OMEGA = Sentinel("w")
 
 LeafWord = tuple
 

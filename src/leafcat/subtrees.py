@@ -1,8 +1,9 @@
-"""Brute-force leaf functions via exhaustive induced-subtree enumeration.
+"""Leaf functions: brute force on any graph, dynamic programming on trees.
 
-The engine grows connected vertex sets from each anchor vertex, restricted
-to vertices above the anchor, with exclusive-neighborhood extension so that
-every connected set is produced exactly once.  Sets are bitmasks internally.
+The brute-force engine grows connected vertex sets from each anchor vertex,
+restricted to vertices above the anchor, with exclusive-neighborhood
+extension so that every connected set is produced exactly once.  Sets are
+bitmasks internally.  It stays the oracle for the tree DP.
 """
 
 from __future__ import annotations
@@ -16,22 +17,29 @@ from .graph import Graph
 DEFAULT_MAX_N = 20
 
 
-class _NegInf:
-    """Sentinel for the value of an empty maximum.  Not a number on purpose:
-    arithmetic with it must be handled explicitly, never silently."""
+class Sentinel:
+    """A marker value, one instance per name, compared by identity.  Not a
+    number on purpose: arithmetic with it must be handled explicitly, never
+    silently."""
 
-    _instance = None
+    _named: dict[str, "Sentinel"] = {}
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __new__(cls, name: str):
+        if name not in cls._named:
+            self = super().__new__(cls)
+            self.name = name
+            cls._named[name] = self
+        return cls._named[name]
 
     def __repr__(self):
-        return "-inf"
+        return self.name
+
+    def __reduce__(self):
+        return Sentinel, (self.name,)
 
 
-NEG_INF = _NegInf()
+# the value of an empty maximum
+NEG_INF = Sentinel("-inf")
 
 
 @dataclass(frozen=True)
@@ -174,24 +182,138 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
 
 
 # ---------------------------------------------------------------------------
+# Tree DP
+
+# An impossible knapsack entry: adding real leaf counts to it stays negative.
+_NONE = -(1 << 30)
+
+
+def leaf_function_tree(t: Graph) -> LeafFunction:
+    """L_T of a tree in O(n^2), after Blondin Masse et al., "Fully leafed
+    induced subtrees" (arXiv:1709.09808).
+
+    Root the tree at 0; every subtree S has a top vertex v, the one nearest
+    the root.  For each v a knapsack over its children records, per size of
+    S and per number of chosen children capped at 2, the most leaves of S
+    other than v.  Vertex v then counts as a leaf of S when its parent is in
+    S and it has no chosen child, or when it is the top and has exactly one.
+    """
+    n = t.n
+    if n == 0:
+        return LeafFunction(0, (0,))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in t.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [-1] * n
+    parent[0] = 0  # the root is its own parent, so never revisited
+    order = [0]
+    for v in order:
+        for u in nbrs[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    if len(order) != n or len(t.edges) != n - 1:
+        raise ValueError("leaf_function_tree requires a tree")
+    best = [0] * (n + 1)
+    # under_parent[v][s]: most leaves of a set of s vertices topped by v,
+    # counting v, when v's parent is in the set too
+    under_parent: list[list[int]] = [[]] * n
+    for v in reversed(order):
+        # by_kids[c][s]: most leaves other than v of a set of s vertices
+        # topped by v with min(chosen children, 2) == c
+        by_kids = [[_NONE, 0], [_NONE, _NONE], [_NONE, _NONE]]
+        for u in nbrs[v]:
+            if u == parent[v]:
+                continue
+            sub = list(enumerate(under_parent[u]))[1:]
+            grown = [row + [_NONE] * len(sub) for row in by_kids]
+            for c, row in enumerate(by_kids):
+                out = grown[min(c + 1, 2)]
+                for s, a in enumerate(row):
+                    if a >= 0:
+                        for k, b in sub:
+                            if a + b > out[s + k]:
+                                out[s + k] = a + b
+            by_kids = grown
+        none, one, more = by_kids
+        under_parent[v] = [max(none[s] + 1, one[s], more[s]) for s in range(len(none))]
+        for s in range(2, len(none)):
+            best[s] = max(best[s], one[s] + 1, more[s])
+    return LeafFunction(n, tuple(best))
+
+
+# ---------------------------------------------------------------------------
 # Free trees
 
 FREE_TREE_MAX_N = 14
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
-    # networkx takes about 0.2 s to import and nothing else here needs it, so
-    # it is loaded on first use rather than with the package.
-    import networkx as nx
+    """One representative per isomorphism class of trees on n vertices.
 
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
+    trees" (SIAM J. Comput., 1986): the canonical level sequences, rooted at
+    a center, in decreasing order.  Vertex i is the i-th vertex in preorder.
+    """
     if not 1 <= n <= FREE_TREE_MAX_N:
         raise ValueError(f"n={n} outside supported range 1..{FREE_TREE_MAX_N}")
     if n == 1:
-        yield Graph.from_edges(1, [])
+        yield Graph(1, frozenset())
         return
-    for t in nx.nonisomorphic_trees(n):
-        yield Graph.from_edges(n, [(int(u), int(v)) for u, v in t.edges()])
+    # the path, rooted at its center
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        levels = _next_free_tree(levels)
+        last = {}  # level -> latest vertex on it, the parent of the next one below
+        edges = []
+        for v, d in enumerate(levels):
+            if d:
+                edges.append((last[d - 1], v))
+            last[d] = v
+        yield Graph(n, frozenset(edges))
+        levels = _next_rooted_tree(levels)
+
+
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a rooted tree's level sequence, changing
+    it from position p on (by default, from the last vertex not on level 1)."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split_tree(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, and the tree without it, as level sequences."""
+    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+    return [d - 1 for d in levels[1:m]], [0] + levels[m:]
+
+
+def _next_free_tree(levels: list[int]) -> list[int]:
+    """`levels` if it is the canonical sequence of a free tree, else the next
+    candidate: the first subtree must be no higher than the rest, and, at
+    equal height, no larger, and at equal size not after it."""
+    left, rest = _split_tree(levels)
+    left_height, rest_height = max(left), max(rest)
+    if rest_height > left_height or (
+            rest_height == left_height and (len(left), left) <= (len(rest), rest)):
+        return levels
+    p = len(left)
+    out = _next_rooted_tree(levels, p)
+    if levels[p] > 2:
+        height = max(_split_tree(out)[0])
+        out[-height - 1:] = range(1, height + 2)
+    return out
 
 
 def tree_canonical_form(g: Graph):

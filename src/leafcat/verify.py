@@ -13,7 +13,7 @@ from itertools import product
 from . import catseq, words
 from .graph import Graph
 from .leafwords import delta_leaf_word
-from .subtrees import enumerate_free_trees, leaf_function_bruteforce
+from .subtrees import enumerate_free_trees, leaf_function_tree
 
 
 @dataclass
@@ -70,16 +70,21 @@ def _word_of_delta(lw) -> str:
     return "".join(str(x) for x in lw)
 
 
+def _check_bound(suite: str, name: str, value: int, low: int, high: int) -> None:
+    """Reject a bound outside low..high before the suite starts any work."""
+    if not low <= value <= high:
+        raise ValueError(f"{suite} suite supports {low} <= {name} <= {high}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # poset
 
 
-POSET_MAX_SIZE = 9
+POSET_MIN_SIZE, POSET_MAX_SIZE = 0, 9
 
 
 def suite_poset(max_size: int = 7) -> list[VerifyReport]:
-    if max_size > POSET_MAX_SIZE:
-        raise ValueError(f"poset suite supports max_size <= {POSET_MAX_SIZE}")
+    _check_bound("poset", "max_size", max_size, POSET_MIN_SIZE, POSET_MAX_SIZE)
     seqs = catseq.all_sequences(max_size)
 
     def reflexivity():
@@ -129,12 +134,11 @@ def suite_poset(max_size: int = 7) -> list[VerifyReport]:
 # morphism / algebra
 
 
-MORPHISM_MAX_LEN = 10
+MORPHISM_MIN_LEN, MORPHISM_MAX_LEN = 0, 10
 
 
 def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
-    if max_len > MORPHISM_MAX_LEN:
-        raise ValueError(f"morphism suite supports max_len <= {MORPHISM_MAX_LEN}")
+    _check_bound("morphism", "max_len", max_len, MORPHISM_MIN_LEN, MORPHISM_MAX_LEN)
     pair_len = min(max_len, 6)
     pair_words = _all_words(pair_len)
     all_words = _all_words(max_len)
@@ -250,14 +254,17 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
 # realization round-trips
 
 
+ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN = 0, 12
+
+
 def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
-    pn_bound = min(max_len, 12)
+    _check_bound("roundtrip", "max_len", max_len, ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN)
     gen_bound = min(max_len, 10)
 
     def roundtrip_prefix_normal():
         bad = []
         count = 0
-        for n in range(pn_bound + 1):
+        for n in range(max_len + 1):
             for w in words.enumerate_pnw(n):
                 count += 1
                 lf = catseq.leaf_function_caterpillar(words.rc(w))
@@ -277,7 +284,7 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
         return count, bad, ""
 
     return [
-        _timed("roundtrip-prefix-normal", pn_bound, roundtrip_prefix_normal),
+        _timed("roundtrip-prefix-normal", max_len, roundtrip_prefix_normal),
         _timed("roundtrip-general", gen_bound, roundtrip_general),
     ]
 
@@ -286,13 +293,17 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
 # leaf equivalence
 
 
+LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN = 0, 8
+
+
 def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
-    bound = min(max_len, 8)
+    _check_bound("leaf-equivalence", "max_len", max_len,
+                 LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN)
 
     def equivalence():
         bad = []
         count = 0
-        for n in range(bound + 1):
+        for n in range(max_len + 1):
             group = ["".join(bits) for bits in product("01", repeat=n)]
             lfs = {w: catseq.leaf_function_caterpillar(words.rc(w)) for w in group}
             profs = {w: words.f1_profile(w) for w in group}
@@ -304,7 +315,7 @@ def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
                         bad.append(f"{w1} vs {w2}")
         return count, bad, ""
 
-    return [_timed("leaf-equivalence-iff-profile", bound, equivalence)]
+    return [_timed("leaf-equivalence-iff-profile", max_len, equivalence)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +324,15 @@ def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
 SMALLEST_NON_PN_TREE_WORD = "1101011011"
 
 
-def _tree_leaf_word(g: Graph) -> str:
-    lf = leaf_function_bruteforce(g)
-    return _word_of_delta(delta_leaf_word(lf))
+def _tree_leaf_word(t: Graph) -> str:
+    return _word_of_delta(delta_leaf_word(leaf_function_tree(t)))
 
 
-TREES_MAX_N = 13
+TREES_MIN_N, TREES_MAX_N = 3, 13
 
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
-    if max_n > TREES_MAX_N:
-        raise ValueError(f"trees suite supports max_n <= {TREES_MAX_N}")
+    _check_bound("trees", "max_n", max_n, TREES_MIN_N, TREES_MAX_N)
     reports = []
 
     def all_prefix_normal():

@@ -44,6 +44,14 @@ def test_generate_dot_rejects_bad_highlight(capsys):
         assert f"vertex {vertex} " in err
 
 
+def test_generate_highlight_needs_dot(capsys):
+    for highlight in ("0", "7"):
+        code, out, err = run(capsys, "generate", "--family", "chain", "--param", "3",
+                             "--highlight", highlight)
+        assert code == 2 and out == ""
+        assert "--highlight needs --dot" in err
+
+
 def test_leaf_function_wheel(capsys):
     code, out, err = run(capsys, "leaf-function", "--family", "wheel", "--param", "10")
     assert code == 0 and err == ""
@@ -192,8 +200,16 @@ def test_verify_all_rejects_bound(capsys):
     assert "'all'" in err
 
 
+def test_verify_rejects_bound_outside_suite_range(capsys):
+    for suite, bound in (("poset", "-1"), ("trees", "2"), ("leaf-equivalence", "9"),
+                         ("roundtrip", "13")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", bound)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {suite} suite supports ") and f"got {bound}" in err
+
+
 def test_cold_start_leaves_networkx_unloaded():
-    # networkx is imported only to enumerate free trees
+    # the program never imports networkx, not even to enumerate free trees
     script = (
         "import sys\n"
         "import leafcat.cli\n"
@@ -202,7 +218,7 @@ def test_cold_start_leaves_networkx_unloaded():
         "assert 'networkx' not in sys.modules, 'rc'\n"
         "from leafcat.subtrees import enumerate_free_trees\n"
         "assert len(list(enumerate_free_trees(4))) == 2\n"
-        "assert 'networkx' in sys.modules, 'free trees'\n"
+        "assert 'networkx' not in sys.modules, 'free trees'\n"
     )
     src = str(Path(leafcat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

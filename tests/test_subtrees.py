@@ -1,10 +1,15 @@
+import copy
 import itertools
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from leafcat.graph import Graph, caterpillar_graph, chain, wheel
+from leafcat.catseq import all_sequences
+from leafcat.graph import Graph, caterpillar_graph, chain, fk_tree, star, wheel
 from leafcat.subtrees import (
     NEG_INF,
     LeafFunction,
@@ -12,6 +17,7 @@ from leafcat.subtrees import (
     enumerate_induced_subtrees,
     fully_leafed_witness,
     leaf_function_bruteforce,
+    leaf_function_tree,
     tree_canonical_form,
 )
 
@@ -30,6 +36,16 @@ def test_json_roundtrip():
     data = json.loads(lf.to_json())
     assert data["values"][-1] == "-inf"
     assert LeafFunction.from_json(lf.to_json()) == lf
+
+
+def test_sentinels_keep_repr_and_identity():
+    from leafcat.leafwords import OMEGA
+
+    assert (repr(NEG_INF), repr(OMEGA)) == ("-inf", "w")
+    assert NEG_INF is not OMEGA
+    for sentinel in (NEG_INF, OMEGA):
+        assert copy.deepcopy(sentinel) is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
 
 def test_wheel10_leaf_function():
@@ -145,7 +161,9 @@ def test_neg_inf_suffix_invariant():
         leaf_function_bruteforce(g)  # LeafFunction validates the suffix itself
 
 
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# OEIS A000055
+FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+                    11: 235, 12: 551, 13: 1301, 14: 3159}
 
 
 @pytest.mark.parametrize("n,count", sorted(FREE_TREE_COUNTS.items()))
@@ -158,36 +176,39 @@ def test_free_tree_counts(n, count):
     assert len({tree_canonical_form(t) for t in trees}) == count
 
 
+def _prufer_tree(n, seq, labels):
+    """The labeled tree of a Pruefer sequence, with vertices renamed by labels."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(n) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in edges])
+
+
 def test_free_trees_against_labeled_enumeration():
-    # second route: all labeled trees from integer sequences, deduplicated
+    # second route: all labeled trees from Pruefer sequences, deduplicated
     # by the canonical form
     for n in range(2, 8):
-        classes = set()
-        if n == 2:
-            classes.add(tree_canonical_form(chain(2)))
-        else:
-            for seq in itertools.product(range(n), repeat=n - 2):
-                # decode the sequence into a labeled tree
-                degree = [1] * n
-                for x in seq:
-                    degree[x] += 1
-                edges = []
-                seq_list = list(seq)
-                leaves_pool = sorted(v for v in range(n) if degree[v] == 1)
-                import heapq
-
-                heapq.heapify(leaves_pool)
-                for x in seq_list:
-                    leaf = heapq.heappop(leaves_pool)
-                    edges.append((leaf, x))
-                    degree[leaf] = 0
-                    degree[x] -= 1
-                    if degree[x] == 1:
-                        heapq.heappush(leaves_pool, x)
-                u, v = sorted(v for v in range(n) if degree[v] == 1)
-                edges.append((u, v))
-                classes.add(tree_canonical_form(Graph.from_edges(n, edges)))
+        classes = {tree_canonical_form(_prufer_tree(n, seq, range(n)))
+                   for seq in itertools.product(range(n), repeat=n - 2)}
         assert len(classes) == len(list(enumerate_free_trees(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_free_trees_match_networkx(n):
+    # the generator follows the same algorithm, so it yields the same trees
+    # with the same vertex numbers in the same order
+    import networkx as nx
+
+    expected = [frozenset((min(u, v), max(u, v)) for u, v in t.edges())
+                for t in nx.nonisomorphic_trees(n)]
+    assert [t.edges for t in enumerate_free_trees(n)] == expected
 
 
 def test_free_tree_bounds():
@@ -236,3 +257,48 @@ def test_connected_noncomplete_l3_is_2():
 def test_edge_implies_l2():
     for g in [chain(2), wheel(3), caterpillar_graph((2,))]:
         assert leaf_function_bruteforce(g).values[2] == 2
+
+
+# ---------------------------------------------------------------------------
+# the tree DP against brute force
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_tree_dp_matches_bruteforce_on_free_trees(n):
+    for t in enumerate_free_trees(n):
+        assert leaf_function_tree(t) == leaf_function_bruteforce(t), sorted(t.edges)
+
+
+def test_tree_dp_matches_bruteforce_on_families():
+    trees = [fk_tree(k) for k in (1, 2, 3)]
+    trees += [chain(n) for n in range(1, 16)] + [star(m) for m in range(0, 16)]
+    trees += [caterpillar_graph(s) for s in all_sequences(9)]
+    for t in trees:
+        assert leaf_function_tree(t) == leaf_function_bruteforce(t, max_n=25), sorted(t.edges)
+
+
+@st.composite
+def random_trees(draw):
+    n = draw(st.integers(2, 12))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return _prufer_tree(n, seq, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees())
+def test_tree_dp_matches_bruteforce_on_random_trees(t):
+    assert leaf_function_tree(t) == leaf_function_bruteforce(t)
+
+
+def test_tree_dp_empty_tree():
+    assert leaf_function_tree(Graph(0, frozenset())).values == (0,)
+
+
+def test_tree_dp_rejects_non_trees():
+    for g in [Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]),
+              Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]),  # n - 1 edges, cycle
+              Graph.from_edges(4, [(0, 1), (2, 3)]),
+              Graph.from_edges(2, []),
+              wheel(5)]:
+        with pytest.raises(ValueError, match="requires a tree"):
+            leaf_function_tree(g)

@@ -20,11 +20,34 @@ def no_enumeration(monkeypatch):
 @pytest.mark.parametrize("suite, cap", [
     (verify.suite_poset, verify.POSET_MAX_SIZE),
     (verify.suite_morphism, verify.MORPHISM_MAX_LEN),
+    (verify.suite_roundtrip, verify.ROUNDTRIP_MAX_LEN),
+    (verify.suite_leaf_equivalence, verify.LEAF_EQUIVALENCE_MAX_LEN),
     (verify.suite_trees, verify.TREES_MAX_N),
 ])
 def test_suite_rejects_bound_above_cap(suite, cap, no_enumeration):
     with pytest.raises(ValueError, match=f"<= {cap}"):
         suite(cap + 1)
+
+
+minimums = pytest.mark.parametrize("suite, low", [
+    (verify.suite_poset, verify.POSET_MIN_SIZE),
+    (verify.suite_morphism, verify.MORPHISM_MIN_LEN),
+    (verify.suite_roundtrip, verify.ROUNDTRIP_MIN_LEN),
+    (verify.suite_leaf_equivalence, verify.LEAF_EQUIVALENCE_MIN_LEN),
+    (verify.suite_trees, verify.TREES_MIN_N),
+])
+
+
+@minimums
+def test_suite_rejects_bound_below_minimum(suite, low, no_enumeration):
+    with pytest.raises(ValueError, match=f"supports {low} <= "):
+        suite(low - 1)
+
+
+@minimums
+def test_suite_accepts_its_minimum(suite, low):
+    reports = suite(low)
+    assert reports and all(r.passed and r.bound == low for r in reports)
 
 
 def test_all_rejects_a_bound(no_enumeration):
