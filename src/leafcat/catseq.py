@@ -3,11 +3,15 @@
 A caterpillar sequence (s_1,...,s_k) is a tuple of non-negative ints with
 s_1, s_k >= 1 (and s_1 >= 2 when k = 1).  It encodes the caterpillar with
 spine v_1..v_k carrying s_i pendant leaves on v_i.
+
+A public function checks its sequences once, on entry, and never inside a
+loop over them; sequences it builds from checked ones are trusted.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import le
 
 from .subtrees import LeafFunction
 
@@ -49,16 +53,14 @@ def spine_degrees(s: CatSeq) -> tuple[int, ...]:
     return (s[0] + 1,) + tuple(x + 2 for x in s[1:-1]) + (s[-1] + 1,)
 
 
+def _dominated(ds: tuple[int, ...], db: tuple[int, ...]) -> bool:
+    """True iff ds is pointwise <= some window of db of its length."""
+    return any(all(map(le, ds, db[shift:])) for shift in range(len(db) - len(ds) + 1))
+
+
 def is_subsequence(small: CatSeq, big: CatSeq) -> bool:
     """Shifted pointwise domination of spine degree sequences (the order <=)."""
-    ds = spine_degrees(small)
-    db = spine_degrees(big)
-    if len(ds) > len(db):
-        return False
-    for shift in range(len(db) - len(ds) + 1):
-        if all(ds[j] <= db[j + shift] for j in range(len(ds))):
-            return True
-    return False
+    return _dominated(spine_degrees(small), spine_degrees(big))
 
 
 def graft(s1: CatSeq, s2: CatSeq) -> CatSeq:
@@ -68,16 +70,18 @@ def graft(s1: CatSeq, s2: CatSeq) -> CatSeq:
     return s1[:-1] + (s1[-1] + s2[0] - 2,) + s2[1:]
 
 
-def _check_trunc_index(s: CatSeq, i: int) -> None:
+def _check_trunc_index(s: CatSeq, i: int) -> int:
+    """Check s and the truncation size i; return size(s)."""
     n = size(s)
     if not 3 <= i <= n:
         raise ValueError(f"truncation size {i} outside 3..{n}")
+    return n
 
 
 def left_recursive(s: CatSeq, i: int) -> CatSeq:
-    """Reference recursion for the left truncation: peel from the right end."""
-    _check_trunc_index(s, i)
-    while size(s) > i:
+    """Reference recursion for the left truncation: peel from the right end.
+    Each peel removes exactly one vertex."""
+    for _ in range(_check_trunc_index(s, i) - i):
         if s[-1] >= 2:
             s = s[:-1] + (s[-1] - 1,)
         else:
@@ -139,10 +143,9 @@ def leaf_function_caterpillar(s: CatSeq) -> LeafFunction:
     """Leaf function of the caterpillar of s: L(i) = F1(word_of(s), i-3) + 2."""
     from .words import f1_profile
 
-    n = size(s)
-    prof = f1_profile(word_of(s))
-    values = (0, 0, 2) + tuple(f + 2 for f in prof)
-    return LeafFunction(n, values)
+    w = word_of(s)
+    values = (0, 0, 2) + tuple(f + 2 for f in f1_profile(w))
+    return LeafFunction(len(w) + 3, values)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +178,13 @@ def hasse_covers(max_size: int) -> set[tuple[CatSeq, CatSeq]]:
     if max_size > HASSE_MAX_SIZE:
         raise ValueError(f"max_size {max_size} exceeds bound {HASSE_MAX_SIZE}")
     seqs = all_sequences(max_size)
+    degrees = [spine_degrees(s) for s in seqs]
     m = len(seqs)
     below = [0] * m  # below[j]: bitmask of strict predecessors of seqs[j]
     above = [0] * m
-    for i, x in enumerate(seqs):
-        for j, y in enumerate(seqs):
-            if i != j and is_subsequence(x, y):
+    for i, x in enumerate(degrees):
+        for j, y in enumerate(degrees):
+            if i != j and _dominated(x, y):
                 below[j] |= 1 << i
                 above[i] |= 1 << j
     covers = set()

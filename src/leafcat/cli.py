@@ -187,16 +187,15 @@ def _run(args) -> int:
     if args.command == "check-pn":
         w = _word_arg(args)
         if args.k == 0:
-            ok = words.is_prefix_normal(w)
+            wit = words.pn_violation(w)
+            ok = wit is None
             if args.json:
-                wit = words.pn_violation(w)
                 print(json.dumps({"prefix_normal": ok,
                                   "witness": list(wit) if wit else None}))
             elif ok:
                 print("prefix normal")
             else:
-                p, f = words.pn_violation(w)
-                print(f"not prefix normal: prefix {p} has fewer 1s than factor {f}")
+                print(f"not prefix normal: prefix {wit[0]} has fewer 1s than factor {wit[1]}")
         else:
             ok = words.is_k_prefix_normal(w, args.k)
             if args.json:
@@ -206,8 +205,6 @@ def _run(args) -> int:
         return 0 if ok else 1
 
     if args.command == "equiv":
-        words.check_binary(args.word1)
-        words.check_binary(args.word2)
         ok = words.equivalent(args.word1, args.word2)
         same_lf = leaf_equivalent(args.word1, args.word2)
         if args.json:

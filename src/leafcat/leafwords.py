@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .catseq import leaf_function_caterpillar
 from .subtrees import NEG_INF, LeafFunction, Sentinel
-from .words import check_binary, is_prefix_normal, pn_violation, prefix_ones, rc
+from .words import pn_violation, prefix_ones, rc
 
 OMEGA = Sentinel("w")
 
@@ -35,9 +35,7 @@ def delta_leaf_word(lf: LeafFunction) -> LeafWord:
 
 def leaf_function_from_word(w: str) -> LeafFunction:
     """The tree-shaped leaf function whose leaf word is the binary word w."""
-    check_binary(w)
-    pre = prefix_ones(w)
-    values = (0, 0, 2) + tuple(2 + pre[i] for i in range(len(w) + 1))
+    values = (0, 0, 2) + tuple(2 + p for p in prefix_ones(w))
     return LeafFunction(len(w) + 3, values)
 
 
@@ -90,8 +88,9 @@ def realize_caterpillar(lf: LeafFunction):
     if classify_leaf_word(lw) != TREE_COMPATIBLE:
         return Rejection("bad-alphabet")
     w = "".join(str(letter) for letter in lw)
-    if not is_prefix_normal(w):
-        return Rejection("not-prefix-normal", pn_violation(w))
+    witness = pn_violation(w)
+    if witness is not None:
+        return Rejection("not-prefix-normal", witness)
     return rc(w)
 
 

@@ -369,7 +369,16 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     return reports
 
 
-SUITES = ("poset", "morphism", "roundtrip", "leaf-equivalence", "trees")
+# suite name -> runner taking the optional bound; each looks its suite_*
+# function up when called, so a wrapper set on that name sees these calls too
+_RUNNERS = {
+    "poset": lambda *bound: suite_poset(*bound),
+    "morphism": lambda *bound: suite_morphism(*bound),
+    "roundtrip": lambda *bound: suite_roundtrip(*bound),
+    "leaf-equivalence": lambda *bound: suite_leaf_equivalence(*bound),
+    "trees": lambda *bound: suite_trees(*bound),
+}
+SUITES = tuple(_RUNNERS)
 # accepted alternate spellings for the suite selector
 SUITE_ALIASES = {"theorem53": "roundtrip", "theorem61": "leaf-equivalence"}
 
@@ -384,16 +393,7 @@ def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
         if max_n is not None:
             raise ValueError("a bound applies to a single suite, not to 'all'")
         return [r for s in SUITES for r in run_suite(s)]
-    name = SUITE_ALIASES.get(name, name)
-    bound = () if max_n is None else (max_n,)
-    if name == "poset":
-        return suite_poset(*bound)
-    if name == "morphism":
-        return suite_morphism(*bound)
-    if name == "roundtrip":
-        return suite_roundtrip(*bound)
-    if name == "leaf-equivalence":
-        return suite_leaf_equivalence(*bound)
-    if name == "trees":
-        return suite_trees(*bound)
-    raise ValueError(f"unknown suite {name!r}")
+    runner = _RUNNERS.get(SUITE_ALIASES.get(name, name))
+    if runner is None:
+        raise ValueError(f"unknown suite {name!r}")
+    return runner() if max_n is None else runner(max_n)

@@ -1,10 +1,14 @@
 """Binary words: maximal-ones profiles, prefix normality and the reading map.
 
-Words are plain Python strings over '0'/'1'; the empty word is "".
+Words are plain Python strings over '0'/'1'; the empty word is "".  A public
+function checks its word once, on entry; the private helpers below work on
+prefix sums of a word already checked and never check again.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 ENUM_MAX_LEN = 22
@@ -18,10 +22,16 @@ def check_binary(w: str) -> None:
 def prefix_ones(w: str) -> tuple[int, ...]:
     """Cumulative ones counts: entry i is |pref_i(w)|_1."""
     check_binary(w)
-    out = [0]
-    for c in w:
-        out.append(out[-1] + (c == "1"))
-    return tuple(out)
+    # a tuple display knows its length; tuple() of an iterator would allocate
+    # a guessed size and resize, which fills the small-tuple free lists
+    return (0, *accumulate(map(int, w)))
+
+
+def _f1s(pre: tuple[int, ...]) -> Iterator[int]:
+    """F1(w, i) for i = 0..|w|, lazily, from the prefix sums of w: the best
+    window of length i is the largest difference pre[j + i] - pre[j]."""
+    n = len(pre) - 1
+    return (max(map(sub, pre[i:], pre[: n + 1 - i])) for i in range(n + 1))
 
 
 def f1(w: str, i: int) -> int:
@@ -42,13 +52,17 @@ def f1(w: str, i: int) -> int:
 
 def f1_profile(w: str) -> tuple[int, ...]:
     """(F1(w, 0), ..., F1(w, |w|))."""
-    return tuple(f1(w, i) for i in range(len(w) + 1))
+    return tuple(_f1s(prefix_ones(w)))
+
+
+def _normal(pre: tuple[int, ...]) -> bool:
+    """Prefix normality from the prefix sums: F1 equals them at every length."""
+    return all(f == p for f, p in zip(_f1s(pre), pre))
 
 
 def is_prefix_normal(w: str) -> bool:
     """True iff every prefix has at least as many 1s as any equal-length factor."""
-    pre = prefix_ones(w)
-    return all(pre[i] == f1(w, i) for i in range(len(w) + 1))
+    return _normal(prefix_ones(w))
 
 
 def pn_violation(w: str):
@@ -57,13 +71,10 @@ def pn_violation(w: str):
     minimal violating length.
     """
     pre = prefix_ones(w)
-    for length in range(1, len(w) + 1):
-        limit = pre[length]
-        count = limit  # the first window is the prefix itself
-        for j in range(length, len(w)):
-            count += (w[j] == "1") - (w[j - length] == "1")
-            if count > limit:
-                return w[:length], w[j - length + 1 : j + 1]
+    for length, (best, limit) in enumerate(zip(_f1s(pre), pre)):
+        if best > limit:
+            j = next(j for j in range(len(w) - length + 1) if pre[j + length] - pre[j] > limit)
+            return w[:length], w[j : j + length]
     return None
 
 
@@ -75,18 +86,18 @@ def is_k_prefix_normal(w: str, k: int) -> bool:
     if k < 0:
         raise ValueError("k must be >= 0")
     pre = prefix_ones(w)
-    return all(f1(w, i) - pre[i] <= k for i in range(len(w) + 1))
+    return all(f - p <= k for f, p in zip(_f1s(pre), pre))
 
 
 def pnf(w: str) -> str:
     """Prefix normal form: the unique prefix normal word with the same profile."""
     prof = f1_profile(w)
-    return "".join("01"[prof[i] - prof[i - 1]] for i in range(1, len(w) + 1))
+    return "".join("01"[b - a] for a, b in zip(prof, prof[1:]))
 
 
 def equivalent(w1: str, w2: str) -> bool:
     """Same length and same maximal-ones profile."""
-    return len(w1) == len(w2) and f1_profile(w1) == f1_profile(w2)
+    return f1_profile(w1) == f1_profile(w2)
 
 
 def rc(w: str) -> tuple[int, ...]:
@@ -103,21 +114,6 @@ def rc(w: str) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _extension_ok(w: str) -> bool:
-    """Prefix normality check for w = u + a where u is already prefix normal.
-
-    New factors are exactly the suffixes of w, so it suffices to compare each
-    suffix ones-count against the equal-length prefix.
-    """
-    pre = prefix_ones(w)
-    count = 0
-    for i in range(1, len(w) + 1):
-        count += w[len(w) - i] == "1"
-        if count > pre[i]:
-            return False
-    return True
-
-
 def enumerate_pnw(n: int) -> Iterator[str]:
     """All prefix normal words of length n, in lexicographic order.
 
@@ -127,13 +123,13 @@ def enumerate_pnw(n: int) -> Iterator[str]:
     if not 0 <= n <= ENUM_MAX_LEN:
         raise ValueError(f"n={n} outside supported range 0..{ENUM_MAX_LEN}")
 
-    def grow(w: str) -> Iterator[str]:
+    def grow(w: str, pre: tuple[int, ...]) -> Iterator[str]:
         if len(w) == n:
             yield w
             return
-        for a in "01":
-            cand = w + a
-            if _extension_ok(cand):
-                yield from grow(cand)
+        for a in (0, 1):
+            ext = pre + (pre[-1] + a,)
+            if _normal(ext):
+                yield from grow(w + "01"[a], ext)
 
-    yield from grow("")
+    yield from grow("", (0,))

@@ -6,6 +6,7 @@ summary (see conftest.py).
 """
 
 import itertools
+import math
 import random
 import time
 from collections import defaultdict
@@ -24,6 +25,9 @@ from leafcat.verify import run_suite
 
 RESULTS = []
 
+# OEIS A194850: prefix normal words of length n, n = 0..12
+PREFIX_NORMAL_WORDS = (1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697)
+
 
 def check(name, ok, detail=""):
     RESULTS.append((name, bool(ok), detail))
@@ -34,16 +38,6 @@ def check(name, ok, detail=""):
 
 def word_str(lw):
     return "".join(str(x) for x in lw)
-
-
-def leaf_word_of_word(w):
-    return word_str(delta_leaf_word(cs.leaf_function_caterpillar(wd.rc(w))))
-
-
-def all_words(max_len):
-    for n in range(max_len + 1):
-        for bits in itertools.product("01", repeat=n):
-            yield "".join(bits)
 
 
 def wheel_formula(n):
@@ -70,16 +64,17 @@ def test_criterion_wheel_formula():
     check("wheel-leaf-function-formula", ok and dt < 10, f"n=5..12, {dt:.1f}s < 10s")
 
 
+def instances(reports):
+    return {r.claim: r.instances for r in reports}
+
+
 def test_criterion_reading_roundtrip_and_normal_form():
     t0 = time.perf_counter()
-    ok = all(
-        leaf_word_of_word(w) == w
-        for n in range(13)
-        for w in wd.enumerate_pnw(n)
-    )
-    for w in all_words(10):
-        lw = leaf_word_of_word(w)
-        ok = ok and lw == wd.pnf(w) and wd.is_prefix_normal(lw)
+    reports = run_suite("roundtrip", 12)
+    ok = all(r.passed for r in reports) and instances(reports) == {
+        "roundtrip-prefix-normal": sum(PREFIX_NORMAL_WORDS),
+        "roundtrip-general": sum(2 ** n for n in range(11)),
+    }
     dt = time.perf_counter() - t0
     check("reading-roundtrip-and-normal-form", ok and dt < 60,
           f"normal<=12 exact, all<=10 to normal form, {dt:.1f}s < 60s")
@@ -103,14 +98,10 @@ def test_criterion_oracle_equivalence():
 
 def test_criterion_leaf_equivalence_profile_law():
     t0 = time.perf_counter()
-    ok = True
-    for n in range(9):
-        group = ["".join(b) for b in itertools.product("01", repeat=n)]
-        lfs = {w: cs.leaf_function_caterpillar(wd.rc(w)) for w in group}
-        profs = {w: wd.f1_profile(w) for w in group}
-        for w1, w2 in itertools.combinations(group, 2):
-            if (lfs[w1] == lfs[w2]) != (profs[w1] == profs[w2]):
-                ok = False
+    reports = run_suite("leaf-equivalence", 8)
+    ok = all(r.passed for r in reports) and instances(reports) == {
+        "leaf-equivalence-iff-profile": sum(math.comb(2 ** n, 2) for n in range(9)),
+    }
     dt = time.perf_counter() - t0
     check("leaf-equivalence-profile-law", ok and dt < 120,
           f"pairs of length <= 8, {dt:.1f}s < 120s")

@@ -124,6 +124,11 @@ def test_equiv(capsys):
     assert run(capsys, "equiv", "01", "11")[0] == 1
 
 
+def test_equiv_rejects_a_non_binary_word(capsys):
+    code, out, err = run(capsys, "equiv", "01", "0x2")
+    assert (code, out, err) == (2, "", "error: not a binary word: '0x2'\n")
+
+
 def test_realize_accepts(capsys):
     code, out, _ = run(capsys, "realize", "0,0,2,2,3,4,4,5,5,6")
     assert code == 0 and out.strip() == "3,1,2"

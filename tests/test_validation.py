@@ -1,0 +1,126 @@
+"""Public functions check a word or a caterpillar sequence once, on entry."""
+
+import inspect
+from collections import Counter
+
+import pytest
+
+from leafcat import catseq as cs
+from leafcat import leafwords as lw
+from leafcat import words as wd
+
+BAD_WORD = "012"
+BAD_SEQ = (0, 1)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Count the calls of check_binary and check_sequence."""
+    counts = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(x):
+            counts[name] += 1
+            return original(x)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(wd, "check_binary")
+    counting(cs, "check_sequence")
+    return counts
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wd.f1_profile("01" * 50),
+    lambda: wd.is_prefix_normal("01" * 50),
+    lambda: wd.is_prefix_normal("1" * 50 + "0" * 50),
+    lambda: wd.is_k_prefix_normal("01" * 50, 1),
+    lambda: wd.pn_violation("1" * 50 + "0" * 50),
+    lambda: wd.pnf("01" * 50),
+], ids=["f1_profile", "is_prefix_normal-no", "is_prefix_normal-yes",
+        "is_k_prefix_normal", "pn_violation", "pnf"])
+def test_word_checked_once(call, checks):
+    call()
+    assert checks == {"check_binary": 1}
+
+
+def test_left_recursive_checks_once(checks):
+    assert cs.left_recursive((1,) + (0,) * 8 + (1,), 3) == (2,)
+    assert checks == {"check_sequence": 1}
+
+
+def test_enumerate_pnw_checks_no_candidate(checks):
+    assert len(list(wd.enumerate_pnw(8))) == 70
+    assert checks == {}
+
+
+def test_hasse_covers_checks_each_sequence_once(checks):
+    covers = cs.hasse_covers(6)
+    assert covers and checks["check_sequence"] == len(cs.all_sequences(6))
+
+
+# (function, arguments with a malformed word or sequence in them)
+MALFORMED = [
+    (wd.check_binary, (BAD_WORD,)),
+    (wd.prefix_ones, (BAD_WORD,)),
+    (wd.f1, (BAD_WORD, 1)),
+    (wd.f1_profile, (BAD_WORD,)),
+    (wd.is_prefix_normal, (BAD_WORD,)),
+    (wd.pn_violation, (BAD_WORD,)),
+    (wd.is_k_prefix_normal, (BAD_WORD, 1)),
+    (wd.pnf, (BAD_WORD,)),
+    (wd.equivalent, (BAD_WORD, "01")),
+    (wd.equivalent, ("01", BAD_WORD)),
+    (wd.equivalent, ("01", "0x2")),
+    (wd.rc, (BAD_WORD,)),
+    (cs.check_sequence, (BAD_SEQ,)),
+    (cs.size, (BAD_SEQ,)),
+    (cs.leaves, (BAD_SEQ,)),
+    (cs.reversal, (BAD_SEQ,)),
+    (cs.spine_degrees, (BAD_SEQ,)),
+    (cs.is_subsequence, (BAD_SEQ, (2,))),
+    (cs.is_subsequence, ((2,), BAD_SEQ)),
+    (cs.graft, (BAD_SEQ, (2,))),
+    (cs.graft, ((2,), BAD_SEQ)),
+    (cs.left_recursive, (BAD_SEQ, 3)),
+    (cs.right_recursive, (BAD_SEQ, 3)),
+    (cs.alpha_beta_left, (BAD_SEQ, 3)),
+    (cs.alpha_beta_right, (BAD_SEQ, 3)),
+    (cs.left, (BAD_SEQ, 3)),
+    (cs.right, (BAD_SEQ, 3)),
+    (cs.decompose, (BAD_SEQ, 3)),
+    (cs.word_of, (BAD_SEQ,)),
+    (cs.leaf_function_caterpillar, (BAD_SEQ,)),
+    (cs.canonical_sequence, (BAD_SEQ,)),
+    (cs.parse_sequence, ("0,1",)),
+    (lw.leaf_function_from_word, (BAD_WORD,)),
+    (lw.leaf_equivalent, (BAD_WORD, "01")),
+    (lw.leaf_equivalent, ("01", BAD_WORD)),
+]
+
+# public functions that take no word or sequence, or report a bad one in
+# their result instead of raising
+NOT_CHECKING = {
+    "words": {"enumerate_pnw"},
+    "catseq": {"all_sequences", "hasse_covers", "hasse_dot", "format_sequence"},
+    "leafwords": {"delta_leaf_word", "classify_leaf_word", "realize_caterpillar",
+                  "format_leaf_word", "parse_leaf_word"},
+}
+
+
+@pytest.mark.parametrize("fn, args", MALFORMED,
+                         ids=[f"{fn.__name__}{args}" for fn, args in MALFORMED])
+def test_malformed_argument_raises(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("module", [wd, cs, lw], ids=lambda m: m.__name__)
+def test_every_public_function_is_covered(module):
+    public = {name for name, fn in inspect.getmembers(module, inspect.isfunction)
+              if fn.__module__ == module.__name__ and not name.startswith("_")}
+    short = module.__name__.rsplit(".", 1)[1]
+    covered = {fn.__name__ for fn, _ in MALFORMED if fn.__module__ == module.__name__}
+    assert public == covered | NOT_CHECKING[short]

@@ -55,3 +55,18 @@ def test_all_rejects_a_bound(no_enumeration):
         verify.run_suite("all", 5)
     with pytest.raises(AssertionError, match="enumeration started"):
         verify.run_suite("all")
+
+
+def test_run_suite_dispatch(monkeypatch):
+    assert verify.SUITES == ("poset", "morphism", "roundtrip", "leaf-equivalence", "trees")
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        verify.run_suite("nonsense")
+    calls = []
+    for suite in verify.SUITES:
+        name = f"suite_{suite.replace('-', '_')}"
+        monkeypatch.setattr(verify, name, lambda *bound, name=name: calls.append((name, bound)))
+    verify.run_suite("theorem53", 5)
+    verify.run_suite("theorem61")
+    verify.run_suite("trees", 4)
+    assert calls == [("suite_roundtrip", (5,)), ("suite_leaf_equivalence", ()),
+                     ("suite_trees", (4,))]

@@ -38,8 +38,19 @@ def test_f1_examples():
 
 def test_f1_matches_bruteforce():
     for w in all_words(9):
+        profile = tuple(brute_f1(w, i) for i in range(len(w) + 1))
         for i in range(len(w) + 1):
-            assert wd.f1(w, i) == brute_f1(w, i)
+            assert wd.f1(w, i) == profile[i]
+        assert wd.f1_profile(w) == profile
+        excess = max(f - w[:i].count("1") for i, f in enumerate(profile))
+        for k in range(4):
+            assert wd.is_k_prefix_normal(w, k) == (excess <= k)
+
+
+@given(st.text(alphabet="01", max_size=200))
+@settings(max_examples=100)
+def test_profile_matches_single_windows(w):
+    assert wd.f1_profile(w) == tuple(wd.f1(w, i) for i in range(len(w) + 1))
 
 
 def test_profile_shape():
