@@ -24,6 +24,7 @@ from .subtrees import (
     NEG_INF,
     LeafFunction,
     leaf_function_bruteforce,
+    leaf_function_tree,
 )
 
 FAMILIES = ("wheel", "star", "chain", "fk", "caterpillar")
@@ -57,7 +58,10 @@ def _input_graph(args) -> graph.Graph:
 def _input_leaf_function(args) -> LeafFunction:
     if args.caterpillar:
         return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
-    return leaf_function_bruteforce(_input_graph(args), max_n=args.max_n)
+    g = _input_graph(args)
+    if graph.is_tree(g):
+        return leaf_function_tree(g)
+    return leaf_function_bruteforce(g, max_n=args.max_n)
 
 
 def _print_leaf_function(lf: LeafFunction, as_json: bool) -> None:
@@ -94,7 +98,8 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--param", help="family parameter (int, or sequence for caterpillar)")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                   help="size bound for brute-force enumeration")
+                   help="size bound for brute-force enumeration on a graph that is "
+                        "not a tree (trees use the tree DP, with no bound)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
 from .graph import Graph
@@ -60,14 +60,21 @@ def _all_words(max_len: int) -> list[str]:
     return out
 
 
-def _timed(claim: str, bound: int, fn) -> VerifyReport:
+def _claim(claim: str, bound: int, cases, law) -> VerifyReport:
+    """Check one law on every case, an argument tuple for `law`.
+
+    Each case is one instance; the failures are the texts `law(*case)`
+    yields, in case order.
+    """
     start = time.perf_counter()
-    instances, failures, notes = fn()
-    return VerifyReport(claim, bound, instances, failures, time.perf_counter() - start, notes)
+    instances, failures = 0, []
+    for instances, case in enumerate(cases, 1):
+        failures.extend(law(*case))
+    return VerifyReport(claim, bound, instances, failures, time.perf_counter() - start)
 
 
-def _word_of_delta(lw) -> str:
-    return "".join(str(x) for x in lw)
+def _leaf_word(lf) -> str:
+    return "".join(str(x) for x in delta_leaf_word(lf))
 
 
 def _check_bound(suite: str, name: str, value: int, low: int, high: int) -> None:
@@ -86,47 +93,27 @@ POSET_MIN_SIZE, POSET_MAX_SIZE = 0, 9
 def suite_poset(max_size: int = 7) -> list[VerifyReport]:
     _check_bound("poset", "max_size", max_size, POSET_MIN_SIZE, POSET_MAX_SIZE)
     seqs = catseq.all_sequences(max_size)
+    idx = range(len(seqs))
+    le = {(i, j) for i in idx for j in idx if catseq.is_subsequence(seqs[i], seqs[j])}
 
-    def reflexivity():
-        bad = [catseq.format_sequence(s) for s in seqs if not catseq.is_subsequence(s, s)]
-        return len(seqs), bad, ""
+    def reflexive(i):
+        if (i, i) not in le:
+            yield catseq.format_sequence(seqs[i])
 
-    def antisymmetry():
-        bad = []
-        count = 0
-        for x in seqs:
-            for y in seqs:
-                if x == y:
-                    continue
-                count += 1
-                if catseq.is_subsequence(x, y) and catseq.is_subsequence(y, x):
-                    bad.append(f"{x} <-> {y}")
-        return count, bad, ""
+    def antisymmetric(i, j):
+        if (i, j) in le and (j, i) in le:
+            yield f"{seqs[i]} <-> {seqs[j]}"
 
-    def transitivity():
-        le = {
-            (i, j)
-            for i, x in enumerate(seqs)
-            for j, y in enumerate(seqs)
-            if catseq.is_subsequence(x, y)
-        }
-        bad = []
-        count = 0
-        for i in range(len(seqs)):
-            for j in range(len(seqs)):
-                if (i, j) not in le:
-                    continue
-                for k in range(len(seqs)):
-                    if (j, k) in le:
-                        count += 1
-                        if (i, k) not in le:
-                            bad.append(f"{seqs[i]} <= {seqs[j]} <= {seqs[k]}")
-        return count, bad, ""
+    def transitive(i, j, k):
+        if (i, k) not in le:
+            yield f"{seqs[i]} <= {seqs[j]} <= {seqs[k]}"
 
+    chains = ((i, j, k) for i in idx for j in idx if (i, j) in le for k in idx if (j, k) in le)
     return [
-        _timed("poset-reflexivity", max_size, reflexivity),
-        _timed("poset-antisymmetry", max_size, antisymmetry),
-        _timed("poset-transitivity", max_size, transitivity),
+        _claim("poset-reflexivity", max_size, zip(idx), reflexive),
+        _claim("poset-antisymmetry", max_size,
+               ((i, j) for i in idx for j in idx if i != j), antisymmetric),
+        _claim("poset-transitivity", max_size, chains, transitive),
     ]
 
 
@@ -142,111 +129,86 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
     pair_len = min(max_len, 6)
     pair_words = _all_words(pair_len)
     all_words = _all_words(max_len)
+    triple_words = _all_words(4)
+    # rc of every word the laws below read; rc(u + v) and rc(w + a) are
+    # themselves laws, so those stay calls
+    rc = {w: words.rc(w) for w in all_words + triple_words}
+    pairs = [(u, v) for u in pair_words for v in pair_words]
 
-    def monoid():
-        ident = (2,)
-        bad = []
-        count = 0
-        for w in all_words:
-            s = words.rc(w)
-            count += 1
-            if catseq.graft(s, ident) != s or catseq.graft(ident, s) != s:
-                bad.append(f"identity fails for {s}")
-        triples = _all_words(4)
-        for u in triples:
-            for v in triples:
-                for x in triples:
-                    a, b, c = words.rc(u), words.rc(v), words.rc(x)
-                    count += 1
-                    if catseq.graft(catseq.graft(a, b), c) != catseq.graft(a, catseq.graft(b, c)):
-                        bad.append(f"associativity fails for {a},{b},{c}")
-        return count, bad, ""
+    def monoid(a, b=None, c=None):
+        """The identity law on one sequence, associativity on three."""
+        if b is None:
+            if catseq.graft(a, (2,)) != a or catseq.graft((2,), a) != a:
+                yield f"identity fails for {a}"
+        elif catseq.graft(catseq.graft(a, b), c) != catseq.graft(a, catseq.graft(b, c)):
+            yield f"associativity fails for {a},{b},{c}"
 
-    def additivity():
-        bad = []
-        count = 0
-        for u in pair_words:
-            for v in pair_words:
-                a, b = words.rc(u), words.rc(v)
-                g = catseq.graft(a, b)
-                count += 1
-                if catseq.size(g) != catseq.size(a) + catseq.size(b) - 3:
-                    bad.append(f"size additivity fails for {a},{b}")
-                if catseq.leaves(g) != catseq.leaves(a) + catseq.leaves(b) - 2:
-                    bad.append(f"leaf additivity fails for {a},{b}")
-                if catseq.reversal(g) != catseq.graft(catseq.reversal(b), catseq.reversal(a)):
-                    bad.append(f"reversal law fails for {a},{b}")
-                if not (catseq.is_subsequence(a, g) and catseq.is_subsequence(b, g)):
-                    bad.append(f"factors not below graft for {a},{b}")
-        return count, bad, ""
+    def additive(u, v):
+        a, b = rc[u], rc[v]
+        g = catseq.graft(a, b)
+        if catseq.size(g) != catseq.size(a) + catseq.size(b) - 3:
+            yield f"size additivity fails for {a},{b}"
+        if catseq.leaves(g) != catseq.leaves(a) + catseq.leaves(b) - 2:
+            yield f"leaf additivity fails for {a},{b}"
+        if catseq.reversal(g) != catseq.graft(catseq.reversal(b), catseq.reversal(a)):
+            yield f"reversal law fails for {a},{b}"
+        if not (catseq.is_subsequence(a, g) and catseq.is_subsequence(b, g)):
+            yield f"factors not below graft for {a},{b}"
 
-    def rc_morphism():
-        bad = []
-        count = 0
-        for u in pair_words:
-            for v in pair_words:
-                count += 1
-                if words.rc(u + v) != catseq.graft(words.rc(u), words.rc(v)):
-                    bad.append(f"rc({u}+{v}) != graft")
-        for w in all_words:
-            count += 1
-            if words.rc(w[::-1]) != catseq.reversal(words.rc(w)):
-                bad.append(f"rc reversal fails for {w}")
-        return count, bad, ""
+    def morphism(u, v=None):
+        """rc turns concatenation into graft, and reversal into reversal."""
+        if v is not None:
+            if words.rc(u + v) != catseq.graft(rc[u], rc[v]):
+                yield f"rc({u}+{v}) != graft"
+        elif rc[u[::-1]] != catseq.reversal(rc[u]):
+            yield f"rc reversal fails for {u}"
 
-    def truncation_reading():
-        bad = []
-        count = 0
-        for w in all_words:
-            s = words.rc(w)
+    def reading(w, i):
+        s = rc[w]
+        if i == 3:  # the laws on the whole of w, once per word
             n = len(w) + 3
             if catseq.size(s) != n:
-                bad.append(f"size(rc({w})) != {n}")
+                yield f"size(rc({w})) != {n}"
             if catseq.leaves(s) != w.count("1") + 2:
-                bad.append(f"leaves(rc({w})) != |w|_1+2")
+                yield f"leaves(rc({w})) != |w|_1+2"
             for a in "01":
                 if catseq.leaves(words.rc(w + a)) != catseq.leaves(s) + int(a):
-                    bad.append(f"leaf step fails for {w}+{a}")
-            for i in range(3, n + 1):
-                count += 1
-                lt = catseq.left(s, i)
-                rt = catseq.right(s, i)
-                if lt != catseq.left_recursive(s, i):
-                    bad.append(f"left closed form != recursion for {w}, i={i}")
-                if rt != catseq.right_recursive(s, i):
-                    bad.append(f"right closed form != recursion for {w}, i={i}")
-                if lt != words.rc(w[: i - 3]):
-                    bad.append(f"left != rc(pref) for {w}, i={i}")
-                if rt != words.rc(w[len(w) - (i - 3) :]):
-                    bad.append(f"right != rc(suff) for {w}, i={i}")
-                if catseq.leaves(lt) != w[: i - 3].count("1") + 2:
-                    bad.append(f"left leaf count fails for {w}, i={i}")
-                if catseq.leaves(rt) != w[len(w) - (i - 3) :].count("1") + 2:
-                    bad.append(f"right leaf count fails for {w}, i={i}")
-                if not catseq.is_subsequence(lt, s) or not catseq.is_subsequence(rt, s):
-                    bad.append(f"truncation not below for {w}, i={i}")
-                if catseq.left(catseq.reversal(s), i) != catseq.reversal(catseq.right(s, i)):
-                    bad.append(f"left/right mirror fails for {w}, i={i}")
-        return count, bad, ""
+                    yield f"leaf step fails for {w}+{a}"
+        pre, suf = w[: i - 3], w[len(w) - (i - 3) :]
+        lt, rt = catseq.left(s, i), catseq.right(s, i)
+        if lt != catseq.left_recursive(s, i):
+            yield f"left closed form != recursion for {w}, i={i}"
+        if rt != catseq.right_recursive(s, i):
+            yield f"right closed form != recursion for {w}, i={i}"
+        if lt != rc[pre]:
+            yield f"left != rc(pref) for {w}, i={i}"
+        if rt != rc[suf]:
+            yield f"right != rc(suff) for {w}, i={i}"
+        if catseq.leaves(lt) != pre.count("1") + 2:
+            yield f"left leaf count fails for {w}, i={i}"
+        if catseq.leaves(rt) != suf.count("1") + 2:
+            yield f"right leaf count fails for {w}, i={i}"
+        if not catseq.is_subsequence(lt, s) or not catseq.is_subsequence(rt, s):
+            yield f"truncation not below for {w}, i={i}"
+        if catseq.left(catseq.reversal(s), i) != catseq.reversal(catseq.right(s, i)):
+            yield f"left/right mirror fails for {w}, i={i}"
 
-    def decomposition():
-        bad = []
-        count = 0
-        for w in all_words:
-            s = words.rc(w)
-            for i in range(3, catseq.size(s) + 1):
-                count += 1
-                lo, hi = catseq.decompose(s, i)
-                if catseq.graft(lo, hi) != s:
-                    bad.append(f"decomposition fails for {s}, i={i}")
-        return count, bad, ""
+    def decomposes(s, i):
+        lo, hi = catseq.decompose(s, i)
+        if catseq.graft(lo, hi) != s:
+            yield f"decomposition fails for {s}, i={i}"
 
+    triples = ((rc[u], rc[v], rc[x]) for u in triple_words for v in triple_words
+               for x in triple_words)
     return [
-        _timed("graft-monoid", max_len, monoid),
-        _timed("graft-additivity", pair_len, additivity),
-        _timed("rc-morphism", pair_len, rc_morphism),
-        _timed("truncation-reading", max_len, truncation_reading),
-        _timed("graft-decomposition", max_len, decomposition),
+        _claim("graft-monoid", max_len, chain(((rc[w],) for w in all_words), triples), monoid),
+        _claim("graft-additivity", pair_len, pairs, additive),
+        _claim("rc-morphism", pair_len, chain(pairs, zip(all_words)), morphism),
+        _claim("truncation-reading", max_len,
+               ((w, i) for w in all_words for i in range(3, len(w) + 4)), reading),
+        _claim("graft-decomposition", max_len,
+               ((rc[w], i) for w in all_words for i in range(3, catseq.size(rc[w]) + 1)),
+               decomposes),
     ]
 
 
@@ -261,31 +223,19 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
     _check_bound("roundtrip", "max_len", max_len, ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN)
     gen_bound = min(max_len, 10)
 
-    def roundtrip_prefix_normal():
-        bad = []
-        count = 0
-        for n in range(max_len + 1):
-            for w in words.enumerate_pnw(n):
-                count += 1
-                lf = catseq.leaf_function_caterpillar(words.rc(w))
-                if _word_of_delta(delta_leaf_word(lf)) != w:
-                    bad.append(w)
-        return count, bad, ""
+    def read_back(w):
+        if _leaf_word(catseq.leaf_function_caterpillar(words.rc(w))) != w:
+            yield w
 
-    def roundtrip_general():
-        bad = []
-        count = 0
-        for w in _all_words(gen_bound):
-            count += 1
-            lf = catseq.leaf_function_caterpillar(words.rc(w))
-            dl = _word_of_delta(delta_leaf_word(lf))
-            if dl != words.pnf(w) or not words.is_prefix_normal(dl):
-                bad.append(w)
-        return count, bad, ""
+    def to_normal_form(w):
+        dl = _leaf_word(catseq.leaf_function_caterpillar(words.rc(w)))
+        if dl != words.pnf(w) or not words.is_prefix_normal(dl):
+            yield w
 
+    normal = (w for n in range(max_len + 1) for w in words.enumerate_pnw(n))
     return [
-        _timed("roundtrip-prefix-normal", max_len, roundtrip_prefix_normal),
-        _timed("roundtrip-general", gen_bound, roundtrip_general),
+        _claim("roundtrip-prefix-normal", max_len, zip(normal), read_back),
+        _claim("roundtrip-general", gen_bound, zip(_all_words(gen_bound)), to_normal_form),
     ]
 
 
@@ -299,73 +249,44 @@ LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN = 0, 8
 def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
     _check_bound("leaf-equivalence", "max_len", max_len,
                  LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN)
+    all_words = _all_words(max_len)
+    lfs = {w: catseq.leaf_function_caterpillar(words.rc(w)) for w in all_words}
+    profs = {w: words.f1_profile(w) for w in all_words}
 
-    def equivalence():
-        bad = []
-        count = 0
-        for n in range(max_len + 1):
-            group = ["".join(bits) for bits in product("01", repeat=n)]
-            lfs = {w: catseq.leaf_function_caterpillar(words.rc(w)) for w in group}
-            profs = {w: words.f1_profile(w) for w in group}
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    w1, w2 = group[a], group[b]
-                    count += 1
-                    if (lfs[w1] == lfs[w2]) != (profs[w1] == profs[w2]):
-                        bad.append(f"{w1} vs {w2}")
-        return count, bad, ""
+    def iff(w1, w2):
+        if (lfs[w1] == lfs[w2]) != (profs[w1] == profs[w2]):
+            yield f"{w1} vs {w2}"
 
-    return [_timed("leaf-equivalence-iff-profile", max_len, equivalence)]
+    # pairs of words of one length; words of different lengths never compare
+    pairs = (p for _, group in groupby(all_words, len) for p in combinations(group, 2))
+    return [_claim("leaf-equivalence-iff-profile", max_len, pairs, iff)]
 
 
 # ---------------------------------------------------------------------------
 # tree census
 
 SMALLEST_NON_PN_TREE_WORD = "1101011011"
-
-
-def _tree_leaf_word(t: Graph) -> str:
-    return _word_of_delta(delta_leaf_word(leaf_function_tree(t)))
-
-
 TREES_MIN_N, TREES_MAX_N = 3, 13
+
+
+def _normal_tree(n: int, t: Graph):
+    w = _leaf_word(leaf_function_tree(t))
+    if not words.is_prefix_normal(w):
+        yield f"n={n} word={w}"
 
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     _check_bound("trees", "max_n", max_n, TREES_MIN_N, TREES_MAX_N)
-    reports = []
-
-    def all_prefix_normal():
-        bad = []
-        count = 0
-        for n in range(3, min(max_n, 12) + 1):
-            for t in enumerate_free_trees(n):
-                count += 1
-                w = _tree_leaf_word(t)
-                if not words.is_prefix_normal(w):
-                    bad.append(f"n={n} word={w}")
-        return count, bad, ""
-
-    reports.append(_timed("tree-leaf-words-prefix-normal", min(max_n, 12), all_prefix_normal))
-
+    trees = ((n, t) for n in range(3, min(max_n, 12) + 1) for t in enumerate_free_trees(n))
+    reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), trees, _normal_tree)]
     if max_n >= 13:
-
-        def smallest_counterexample():
-            found = set()
-            count = 0
-            for t in enumerate_free_trees(13):
-                count += 1
-                w = _tree_leaf_word(t)
-                if not words.is_prefix_normal(w):
-                    found.add(w)
-            bad = []
-            if found != {SMALLEST_NON_PN_TREE_WORD}:
-                bad.append(f"non-prefix-normal words at n=13: {sorted(found)}")
-            notes = "counterexample leaf words at n=13: " + ",".join(sorted(found))
-            return count, bad, notes
-
-        reports.append(_timed("smallest-non-prefix-normal-tree", 13, smallest_counterexample))
-
+        report = _claim("smallest-non-prefix-normal-tree", 13,
+                        ((13, t) for t in enumerate_free_trees(13)), _normal_tree)
+        found = sorted({f.removeprefix("n=13 word=") for f in report.failures})
+        report.failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
+                           else [f"non-prefix-normal words at n=13: {found}"])
+        report.notes = "counterexample leaf words at n=13: " + ",".join(found)
+        reports.append(report)
     return reports
 
 

@@ -16,17 +16,15 @@ from leafcat import words as wd
 from leafcat.cli import main
 from leafcat.graph import caterpillar_graph, fk_tree, wheel
 from leafcat.leafwords import delta_leaf_word, leaf_function_from_word
-from leafcat.subtrees import (
-    NEG_INF,
-    enumerate_free_trees,
-    leaf_function_bruteforce,
-)
+from leafcat.subtrees import NEG_INF, leaf_function_bruteforce
 from leafcat.verify import run_suite
 
 RESULTS = []
 
 # OEIS A194850: prefix normal words of length n, n = 0..12
 PREFIX_NORMAL_WORDS = (1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697)
+# OEIS A000055: free trees with n vertices, n = 0..13
+FREE_TREES = (1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301)
 
 
 def check(name, ok, detail=""):
@@ -117,17 +115,13 @@ def test_criterion_worked_example():
 
 def test_criterion_tree_census():
     t0 = time.perf_counter()
-    ok = True
-    non_normal_13 = set()
-    for n in range(3, 14):
-        for t in enumerate_free_trees(n):
-            word = word_str(delta_leaf_word(leaf_function_bruteforce(t)))
-            if not wd.is_prefix_normal(word):
-                if n <= 12:
-                    ok = False
-                else:
-                    non_normal_13.add(word)
-    ok = ok and "1101011011" in non_normal_13
+    reports = run_suite("trees", 13)
+    ok = all(r.passed for r in reports) and instances(reports) == {
+        "tree-leaf-words-prefix-normal": sum(FREE_TREES[3:13]),
+        "smallest-non-prefix-normal-tree": FREE_TREES[13],
+    }
+    found = reports[-1].notes.removeprefix("counterexample leaf words at n=13: ")
+    ok = ok and found.split(",") == ["1101011011"]
     fk1 = word_str(delta_leaf_word(leaf_function_bruteforce(fk_tree(1))))
     ok = ok and fk1 == "1101011011"
     dt = time.perf_counter() - t0

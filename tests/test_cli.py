@@ -84,6 +84,29 @@ def test_leaf_word_wheel(capsys):
     assert out.strip() == "1,1,1,-3,0,0,w,w"
 
 
+def test_tree_past_brute_force_bound(capsys):
+    # a tree goes through the tree DP, which --max-n does not bound
+    code, out, err = run(capsys, "leaf-function", "--family", "chain", "--param", "30")
+    assert code == 0 and err == ""
+    assert out.strip() == ", ".join(f"{i} -> {0 if i < 2 else 2}" for i in range(31))
+    code, out, err = run(capsys, "leaf-function", "--family", "wheel", "--param", "20")
+    assert code == 2 and out == ""
+    assert "21 vertices, exceeds bound 20" in err
+
+
+def test_tree_output_matches_brute_force(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tree.txt"
+    path.write_text("7 6\n0 1\n1 2\n1 3\n3 4\n4 5\n4 6\n")
+    inputs = [["--family", "fk", "--param", "1"], ["--family", "star", "--param", "5"],
+              ["--family", "caterpillar", "--param", "3,0,2,4,0,1"], [str(path)]]
+    commands = [[*flag, command, *given] for given in inputs
+                for command in ("leaf-function", "leaf-word") for flag in ([], ["--json"])]
+    via_dp = [run(capsys, *argv) for argv in commands]
+    monkeypatch.setattr("leafcat.cli.graph.is_tree", lambda g: False)
+    assert via_dp == [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out and err == "" for code, out, err in via_dp)
+
+
 def test_rc_and_word_of_roundtrip(capsys):
     code, out, _ = run(capsys, "rc", "110101")
     assert code == 0 and out.strip() == "3,1,2"

@@ -1,6 +1,16 @@
+import json
+from itertools import product
+
 import pytest
 
-from leafcat import verify
+from leafcat import verify, words
+from leafcat.cli import main
+from leafcat.subtrees import LeafFunction, leaf_function_tree
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
 
 
 @pytest.fixture
@@ -70,3 +80,106 @@ def test_run_suite_dispatch(monkeypatch):
     verify.run_suite("trees", 4)
     assert calls == [("suite_roundtrip", (5,)), ("suite_leaf_equivalence", ()),
                      ("suite_trees", (4,))]
+
+
+def claims(reports):
+    return [(r.claim, r.instances) for r in reports]
+
+
+def _spine_degrees(s):
+    if len(s) == 1:
+        return s
+    return (s[0] + 1, *(x + 2 for x in s[1:-1]), s[-1] + 1)
+
+
+def _below(x, y):
+    """x <= y: the spine degrees of x lie under some window of those of y."""
+    dx, dy = _spine_degrees(x), _spine_degrees(y)
+    return any(all(dx[i] <= dy[shift + i] for i in range(len(dx)))
+               for shift in range(len(dy) - len(dx) + 1))
+
+
+@pytest.mark.parametrize("bound", [5, 7])
+def test_poset_instance_counts(bound):
+    # sequences of size m are the rc images of the 2^(m-3) words of length m-3
+    seqs = [words.rc("".join(bits)) for n in range(bound - 2)
+            for bits in product("01", repeat=n)]
+    chains = sum(_below(x, y) and _below(y, z) for x in seqs for y in seqs for z in seqs)
+    assert claims(verify.suite_poset(bound)) == [
+        ("poset-reflexivity", len(seqs)),
+        ("poset-antisymmetry", len(seqs) * (len(seqs) - 1)),
+        ("poset-transitivity", chains),
+    ]
+    if bound == 7:
+        assert (len(seqs), chains) == (31, 729)
+
+
+@pytest.mark.parametrize("bound", [4, 8])
+def test_morphism_instance_counts(bound):
+    all_words = 2 ** (bound + 1) - 1
+    pairs = (2 ** (min(bound, 6) + 1) - 1) ** 2
+    # (w, i) for 3 <= i <= |w| + 3
+    cuts = sum(2 ** n * (n + 1) for n in range(bound + 1))
+    assert claims(verify.suite_morphism(bound)) == [
+        ("graft-monoid", all_words + 31 ** 3),
+        ("graft-additivity", pairs),
+        ("rc-morphism", pairs + all_words),
+        ("truncation-reading", cuts),
+        ("graft-decomposition", cuts),
+    ]
+    if bound == 8:
+        assert (all_words + 31 ** 3, pairs, pairs + all_words, cuts) == (
+            30_302, 16_129, 16_640, 4_097)
+
+
+# OEIS A194850: prefix normal words of length n, n = 0..4
+PREFIX_NORMAL_WORDS = (1, 2, 3, 5, 8)
+
+
+def non_normal(max_len):
+    return 2 ** (max_len + 1) - 1 - sum(PREFIX_NORMAL_WORDS[: max_len + 1])
+
+
+@pytest.fixture
+def pnf_identity(monkeypatch):
+    """Make every word its own normal form: the non-normal words fail."""
+    monkeypatch.setattr(verify.words, "pnf", lambda w: w)
+
+
+def test_failing_claim_reports_its_failures(pnf_identity):
+    general = verify.suite_roundtrip(4)[1]
+    assert (general.claim, general.passed, len(general.failures)) == (
+        "roundtrip-general", False, non_normal(4))
+    assert general.line().startswith(
+        f"FAIL roundtrip-general bound=4 instances=31 failures={non_normal(4)} ")
+
+
+def test_cli_failing_suite(pnf_identity, capsys):
+    for bound in (3, 4):  # 4 and 12 failures
+        code, out = run(capsys, "verify", "--suite", "roundtrip", "--max-n", str(bound))
+        assert code == 1
+        assert f"FAIL roundtrip-general bound={bound} instances=" in out
+        assert f" failures={non_normal(bound)} " in out
+        assert out.count("counterexample:") == min(non_normal(bound), 10)
+    code, out = run(capsys, "--json", "verify", "--suite", "roundtrip", "--max-n", "3")
+    assert code == 1
+    assert json.loads(out)[1]["failures"] == ["01", "001", "010", "011"]
+
+
+def test_tree_census_sees_a_non_normal_word(monkeypatch):
+    # the first tree on 5 and on 13 vertices read 01 and 0100000000
+    broken = {5: (0, 0, 2, 2, 2, 3), 13: (0, 0, 2, 2, 2) + (3,) * 9}
+
+    def leaf_function(t):
+        if t.n in broken:
+            return LeafFunction(t.n, broken.pop(t.n))
+        return leaf_function_tree(t)
+
+    monkeypatch.setattr(verify, "leaf_function_tree", leaf_function)
+    small, smallest = verify.suite_trees(13)
+    assert not broken
+    assert (small.claim, small.instances, small.failures) == (
+        "tree-leaf-words-prefix-normal", 985, ["n=5 word=01"])
+    assert (smallest.instances, smallest.failures) == (
+        1301, ["non-prefix-normal words at n=13: ['0100000000', '1101011011']"])
+    assert smallest.notes.endswith(": 0100000000,1101011011")
