@@ -89,8 +89,13 @@ def left_recursive(s: CatSeq, i: int) -> CatSeq:
     return s
 
 
+def _mirror(s: CatSeq) -> CatSeq:
+    """s reversed, unchecked; a non-tuple is passed on for the check to reject."""
+    return s[::-1] if isinstance(s, tuple) else s
+
+
 def right_recursive(s: CatSeq, i: int) -> CatSeq:
-    return left_recursive(reversal(s), i)[::-1]
+    return left_recursive(_mirror(s), i)[::-1]
 
 
 def alpha_beta_left(s: CatSeq, i: int) -> tuple[int, int]:
@@ -109,7 +114,7 @@ def alpha_beta_left(s: CatSeq, i: int) -> tuple[int, int]:
 
 def alpha_beta_right(s: CatSeq, i: int) -> tuple[int, int]:
     """The unique (b, beta) with right(s, i) = (beta, s_b,...,s_k), b 1-based."""
-    a, alpha = alpha_beta_left(reversal(s), i)
+    a, alpha = alpha_beta_left(_mirror(s), i)
     return len(s) - a + 1, alpha
 
 
@@ -126,8 +131,10 @@ def right(s: CatSeq, i: int) -> CatSeq:
 
 
 def decompose(s: CatSeq, i: int) -> tuple[CatSeq, CatSeq]:
-    """Split s as graft(left(s, i), right(s, size(s)+3-i))."""
-    return left(s, i), right(s, size(s) + 3 - i)
+    """Split s as graft(left(s, i), right(s, size(s)+3-i)); the two parts
+    meet at the spine vertex where left(s, i) ends."""
+    a, alpha = alpha_beta_left(s, i)
+    return s[:a] + (alpha,), (s[a] + 2 - alpha,) + s[a + 1:]
 
 
 def word_of(s: CatSeq) -> str:
@@ -175,8 +182,8 @@ def hasse_covers(max_size: int) -> set[tuple[CatSeq, CatSeq]]:
     The order is size-monotone, so restricting to a size bound does not
     create spurious covers.
     """
-    if max_size > HASSE_MAX_SIZE:
-        raise ValueError(f"max_size {max_size} exceeds bound {HASSE_MAX_SIZE}")
+    if not 0 <= max_size <= HASSE_MAX_SIZE:
+        raise ValueError(f"max_size {max_size} outside 0..{HASSE_MAX_SIZE}")
     seqs = all_sequences(max_size)
     degrees = [spine_degrees(s) for s in seqs]
     m = len(seqs)

@@ -77,11 +77,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph.from_edges(len(vs), edges)
 
 
-def induced_index_map(g: Graph, vertices: Iterable[int]) -> list[int]:
-    """Map from new labels of induced_subgraph(g, vertices) to original ones."""
-    return sorted(set(vertices))
-
-
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

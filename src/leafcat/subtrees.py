@@ -77,7 +77,7 @@ class LeafFunction:
 
 
 def _connected_set_masks(g: Graph, limit: int) -> Iterator[int]:
-    """All nonempty connected vertex sets of size <= limit, each exactly once.
+    """All nonempty connected vertex sets of size <= max(limit, 1), each once.
 
     Deterministic order: anchors ascending, then depth-first with the lowest
     available vertex extended first.
@@ -86,7 +86,7 @@ def _connected_set_masks(g: Graph, limit: int) -> Iterator[int]:
 
     def extend(s: int, size: int, ext: int, closed: int):
         yield s
-        if size == limit:
+        if size >= limit:
             return
         while ext:
             low = ext & -ext
@@ -124,8 +124,8 @@ def _tree_stats(g: Graph, mask: int, vertices: tuple[int, ...]):
 
 def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
     """Vertex sets U with |U| = i and G[U] a tree, each once, sorted tuples."""
-    if i > g.n:
-        raise ValueError(f"i={i} exceeds n={g.n}")
+    if not 0 <= i <= g.n:
+        raise ValueError(f"i={i} outside 0..{g.n}")
     if i == 0:
         yield ()
         return
@@ -138,15 +138,13 @@ def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
             yield vs
 
 
-def _scan(g: Graph):
-    """Single pass over all connected sets: best leaf count per size and the
-    first witness mask attaining it (strict improvements only, so the witness
-    is the earliest set in enumeration order reaching the maximum)."""
-    best: list[int | None] = [None] * (g.n + 1)
-    witness: list[int | None] = [None] * (g.n + 1)
-    best[0] = 0
-    witness[0] = 0
-    for mask in _connected_set_masks(g, g.n):
+def _scan(g: Graph, limit: int):
+    """Best leaf count per size over the connected sets of at most `limit`
+    vertices, and the first witness mask attaining it (strict improvements
+    only: the earliest such set in enumeration order, which `limit` keeps)."""
+    best: list[int | None] = [0] + [None] * g.n
+    witness: list[int | None] = [0] + [None] * g.n
+    for mask in _connected_set_masks(g, limit):
         vs = _mask_vertices(mask)
         ok, leaves = _tree_stats(g, mask, vs)
         if not ok:
@@ -162,7 +160,7 @@ def leaf_function_bruteforce(g: Graph, max_n: int = DEFAULT_MAX_N) -> LeafFuncti
     """Ground-truth leaf function by exhaustive enumeration."""
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, exceeds bound {max_n}")
-    best, _ = _scan(g)
+    best, _ = _scan(g, g.n)
     return LeafFunction(g.n, tuple(NEG_INF if b is None else b for b in best))
 
 
@@ -171,14 +169,12 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
 
     Deterministic: first maximizing set in enumeration order.
     """
-    if i > g.n:
-        raise ValueError(f"i={i} exceeds n={g.n}")
+    if not 0 <= i <= g.n:
+        raise ValueError(f"i={i} outside 0..{g.n}")
     if g.n > max_n:
         raise ValueError(f"graph has {g.n} vertices, exceeds bound {max_n}")
-    _, witness = _scan(g)
-    if witness[i] is None:
-        return None
-    return _mask_vertices(witness[i])
+    _, witness = _scan(g, i)
+    return None if witness[i] is None else _mask_vertices(witness[i])
 
 
 # ---------------------------------------------------------------------------
@@ -186,60 +182,63 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
 
 # An impossible knapsack entry: adding real leaf counts to it stays negative.
 _NONE = -(1 << 30)
+# the knapsack of a vertex before any child merges: the set {v} alone
+_ALONE = ([_NONE, 0], [_NONE, _NONE], [_NONE, _NONE])
 
 
 def leaf_function_tree(t: Graph) -> LeafFunction:
-    """L_T of a tree in O(n^2), after Blondin Masse et al., "Fully leafed
-    induced subtrees" (arXiv:1709.09808).
-
-    Root the tree at 0; every subtree S has a top vertex v, the one nearest
-    the root.  For each v a knapsack over its children records, per size of
-    S and per number of chosen children capped at 2, the most leaves of S
-    other than v.  Vertex v then counts as a leaf of S when its parent is in
-    S and it has no chosen child, or when it is the top and has exactly one.
-    """
+    """L_T of a tree: the tree DP on its breadth-first numbering from 0."""
     n = t.n
     if n == 0:
         return LeafFunction(0, (0,))
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in t.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    parent = [-1] * n
-    parent[0] = 0  # the root is its own parent, so never revisited
-    order = [0]
+    label = [0] + [-1] * (n - 1)  # vertex -> its number; the root is 0
+    order, parent = [0], [-1]
     for v in order:
-        for u in nbrs[v]:
-            if parent[u] < 0:
-                parent[u] = v
+        for u in t.adj[v]:
+            if label[u] < 0:
+                label[u] = len(order)
                 order.append(u)
+                parent.append(label[v])
     if len(order) != n or len(t.edges) != n - 1:
         raise ValueError("leaf_function_tree requires a tree")
+    return _leaf_function_rooted(parent)
+
+
+def _leaf_function_rooted(parent: list[int]) -> LeafFunction:
+    """L_T in O(n^2) of the tree where each vertex v > 0 hangs from
+    parent[v] < v, after Blondin Masse et al., "Fully leafed induced
+    subtrees" (arXiv:1709.09808).
+
+    Every subtree S has a top vertex v, the one nearest the root.  A knapsack
+    over v's children records, per size of S and per number of chosen
+    children capped at 2, the most leaves of S other than v; v counts as a
+    leaf of S when its parent is in S and it has no chosen child, or when it
+    is the top and has exactly one.  Each vertex, last to first, merges into
+    its parent's knapsack and is dropped, so the live rows are O(n)."""
+    n = len(parent)
     best = [0] * (n + 1)
-    # under_parent[v][s]: most leaves of a set of s vertices topped by v,
-    # counting v, when v's parent is in the set too
-    under_parent: list[list[int]] = [[]] * n
-    for v in reversed(order):
-        # by_kids[c][s]: most leaves other than v of a set of s vertices
-        # topped by v with min(chosen children, 2) == c
-        by_kids = [[_NONE, 0], [_NONE, _NONE], [_NONE, _NONE]]
-        for u in nbrs[v]:
-            if u == parent[v]:
-                continue
-            sub = list(enumerate(under_parent[u]))[1:]
-            grown = [row + [_NONE] * len(sub) for row in by_kids]
-            for c, row in enumerate(by_kids):
-                out = grown[min(c + 1, 2)]
-                for s, a in enumerate(row):
-                    if a >= 0:
-                        for k, b in sub:
-                            if a + b > out[s + k]:
-                                out[s + k] = a + b
-            by_kids = grown
-        none, one, more = by_kids
-        under_parent[v] = [max(none[s] + 1, one[s], more[s]) for s in range(len(none))]
+    # knapsacks[v][c][s]: most leaves other than v of a set of s vertices topped
+    # by v with min(chosen children, 2) == c; None until a child merges
+    knapsacks: list[list[list[int]] | None] = [None] * n
+    for v in range(n - 1, -1, -1):
+        none, one, more = knapsacks.pop() or _ALONE  # knapsacks[v], dropped
         for s in range(2, len(none)):
             best[s] = max(best[s], one[s] + 1, more[s])
+        if v == 0:
+            break  # the root merges into nothing
+        # the most leaves of a set of s vertices topped by v, counting v,
+        # when v's parent is in the set too
+        sub = [(s, max(none[s] + 1, one[s], more[s])) for s in range(1, len(none))]
+        rows = knapsacks[parent[v]] or _ALONE
+        grown = [row + [_NONE] * len(sub) for row in rows]
+        for c, row in enumerate(rows):
+            out = grown[min(c + 1, 2)]
+            for s, a in enumerate(row):
+                if a >= 0:
+                    for k, b in sub:
+                        if a + b > out[s + k]:
+                            out[s + k] = a + b
+        knapsacks[parent[v]] = grown
     return LeafFunction(n, tuple(best))
 
 
@@ -250,28 +249,31 @@ FREE_TREE_MAX_N = 14
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on n vertices.
+    """One tree per isomorphism class on n vertices, numbered in preorder."""
+    for parent in _free_tree_parents(n):
+        yield Graph(n, frozenset((p, v) for v, p in enumerate(parent) if v))
 
-    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
-    trees" (SIAM J. Comput., 1986): the canonical level sequences, rooted at
-    a center, in decreasing order.  Vertex i is the i-th vertex in preorder.
-    """
+
+def _free_tree_parents(n: int) -> Iterator[list[int]]:
+    """The free trees on n vertices as preorder parent arrays (parent[0] is
+    -1): the canonical level sequences of Wright, Richmond, Odlyzko and
+    McKay, "Constant time generation of free trees" (SIAM J. Comput., 1986),
+    rooted at a center, in decreasing order."""
     if not 1 <= n <= FREE_TREE_MAX_N:
         raise ValueError(f"n={n} outside supported range 1..{FREE_TREE_MAX_N}")
     if n == 1:
-        yield Graph(1, frozenset())
+        yield [-1]
         return
     # the path, rooted at its center
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         levels = _next_free_tree(levels)
         last = {}  # level -> latest vertex on it, the parent of the next one below
-        edges = []
+        parent = []
         for v, d in enumerate(levels):
-            if d:
-                edges.append((last[d - 1], v))
+            parent.append(last[d - 1] if d else -1)
             last[d] = v
-        yield Graph(n, frozenset(edges))
+        yield parent
         levels = _next_rooted_tree(levels)
 
 
@@ -315,31 +317,3 @@ def _next_free_tree(levels: list[int]) -> list[int]:
         out[-height - 1:] = range(1, height + 2)
     return out
 
-
-def tree_canonical_form(g: Graph):
-    """Canonical encoding of a tree: AHU form rooted at the center(s)."""
-
-    def encode(root: int, parent: int):
-        subs = sorted(encode(v, root) for v in g.adj[root] if v != parent)
-        return tuple(subs)
-
-    if g.n == 0:
-        return ()
-    # peel leaves to find the 1 or 2 centers
-    deg = [g.degree(v) for v in range(g.n)]
-    layer = [v for v in range(g.n) if deg[v] <= 1]
-    removed = 0
-    remaining = set(range(g.n))
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            removed += 1
-            for u in g.adj[v]:
-                if u in remaining:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    centers = sorted(remaining)
-    return min(encode(c, -1) for c in centers)

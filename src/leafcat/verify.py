@@ -7,13 +7,12 @@ a claim passes iff the failure list is empty.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
-from .graph import Graph
 from .leafwords import delta_leaf_word
-from .subtrees import enumerate_free_trees, leaf_function_tree
+from .subtrees import _free_tree_parents, _leaf_function_rooted
 
 
 @dataclass
@@ -43,14 +42,7 @@ class VerifyReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "bound": self.bound,
-            "instances": self.instances,
-            "failures": self.failures,
-            "seconds": self.seconds,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _all_words(max_len: int) -> list[str]:
@@ -269,19 +261,20 @@ SMALLEST_NON_PN_TREE_WORD = "1101011011"
 TREES_MIN_N, TREES_MAX_N = 3, 13
 
 
-def _normal_tree(n: int, t: Graph):
-    w = _leaf_word(leaf_function_tree(t))
+def _normal_tree(n: int, parent: list[int]):
+    w = _leaf_word(_leaf_function_rooted(parent))
     if not words.is_prefix_normal(w):
         yield f"n={n} word={w}"
 
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     _check_bound("trees", "max_n", max_n, TREES_MIN_N, TREES_MAX_N)
-    trees = ((n, t) for n in range(3, min(max_n, 12) + 1) for t in enumerate_free_trees(n))
+    # the generator's parent arrays go straight to the tree DP
+    trees = ((n, p) for n in range(3, min(max_n, 12) + 1) for p in _free_tree_parents(n))
     reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), trees, _normal_tree)]
     if max_n >= 13:
         report = _claim("smallest-non-prefix-normal-tree", 13,
-                        ((13, t) for t in enumerate_free_trees(13)), _normal_tree)
+                        ((13, p) for p in _free_tree_parents(13)), _normal_tree)
         found = sorted({f.removeprefix("n=13 word=") for f in report.failures})
         report.failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
                            else [f"non-prefix-normal words at n=13: {found}"])

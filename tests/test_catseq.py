@@ -124,6 +124,13 @@ def test_decompose():
             assert cs.graft(*cs.decompose(s, i)) == s
 
 
+def test_decompose_is_left_and_right():
+    for s in cs.all_sequences(12):
+        n = cs.size(s)
+        for i in range(3, n + 1):
+            assert cs.decompose(s, i) == (cs.left(s, i), cs.right(s, n + 3 - i)), (s, i)
+
+
 def test_word_of():
     assert cs.word_of((2,)) == ""
     assert cs.word_of((3, 1, 2)) == "110101"

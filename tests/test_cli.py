@@ -182,6 +182,12 @@ def test_poset_dot(capsys):
     assert code == 0 and out.startswith("digraph hasse {")
 
 
+def test_poset_rejects_a_negative_size(capsys):
+    code, out, err = run(capsys, "poset", "--max-size", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: max_size -3 outside 0..12\n"
+
+
 def test_verify_roundtrip_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "roundtrip", "--max-n", "8")
     assert code == 0 and err == ""
@@ -236,6 +242,13 @@ def test_verify_rejects_bound_outside_suite_range(capsys):
         assert err.startswith(f"error: {suite} suite supports ") and f"got {bound}" in err
 
 
+def _checkout_env():
+    """The environment of a child interpreter that imports this leafcat."""
+    src = str(Path(leafcat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cold_start_leaves_networkx_unloaded():
     # the program never imports networkx, not even to enumerate free trees
     script = (
@@ -248,13 +261,21 @@ def test_cold_start_leaves_networkx_unloaded():
         "assert len(list(enumerate_free_trees(4))) == 2\n"
         "assert 'networkx' not in sys.modules, 'free trees'\n"
     )
-    src = str(Path(leafcat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _checkout_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1,1,2"
+
+
+def test_python_m_leafcat():
+    env = _checkout_env()
+    proc = subprocess.run([sys.executable, "-m", "leafcat", "rc", "0101"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1,1,2\n", "")
+    proc = subprocess.run([sys.executable, "-m", "leafcat", "poset", "--max-size", "13"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "outside 0..12" in proc.stderr
 
 
 def test_machine_outputs_reparse(capsys):

@@ -2,12 +2,15 @@ import copy
 import itertools
 import json
 import pickle
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
+from leafcat import subtrees
 from leafcat.catseq import all_sequences
 from leafcat.graph import Graph, caterpillar_graph, chain, fk_tree, star, wheel
 from leafcat.subtrees import (
@@ -18,7 +21,6 @@ from leafcat.subtrees import (
     fully_leafed_witness,
     leaf_function_bruteforce,
     leaf_function_tree,
-    tree_canonical_form,
 )
 
 
@@ -155,10 +157,58 @@ def test_witness_deterministic_and_optimal():
         assert u == fully_leafed_witness(g, i)
 
 
+def test_witness_scan_stops_at_its_size():
+    # sets of size i keep their depth-first order when larger ones are cut,
+    # so the witness is the one the scan of every connected set finds
+    graphs = [wheel(12)]
+    for seed in range(5):
+        rng = random.Random(seed)
+        graphs.append(Graph.from_edges(14, [e for e in itertools.combinations(range(14), 2)
+                                            if rng.random() < 0.3]))
+    for g in graphs:
+        _, full = subtrees._scan(g, g.n)
+        for i in sorted({0, 1, 2, 4, 6, 8, g.n}):
+            expected = None if full[i] is None else subtrees._mask_vertices(full[i])
+            assert fully_leafed_witness(g, i) == expected, (sorted(g.edges), i)
+
+
+def test_negative_size_rejected():
+    with pytest.raises(ValueError, match="i=-1 outside 0..3"):
+        fully_leafed_witness(chain(3), -1)
+    with pytest.raises(ValueError, match="i=-1 outside 0..3"):
+        list(enumerate_induced_subtrees(chain(3), -1))
+
+
 def test_neg_inf_suffix_invariant():
     for g in [wheel(5), wheel(8), Graph.from_edges(4, [(0, 1), (2, 3)]),
               Graph.from_edges(3, [])]:
         leaf_function_bruteforce(g)  # LeafFunction validates the suffix itself
+
+
+def tree_canonical_form(g: Graph):
+    """Canonical encoding of a tree: AHU form rooted at the center(s)."""
+
+    def encode(root: int, parent: int):
+        subs = sorted(encode(v, root) for v in g.adj[root] if v != parent)
+        return tuple(subs)
+
+    if g.n == 0:
+        return ()
+    # peel leaves to find the 1 or 2 centers
+    deg = [g.degree(v) for v in range(g.n)]
+    layer = [v for v in range(g.n) if deg[v] <= 1]
+    remaining = set(range(g.n))
+    while len(remaining) > 2:
+        nxt = []
+        for v in layer:
+            remaining.discard(v)
+            for u in g.adj[v]:
+                if u in remaining:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return min(encode(c, -1) for c in remaining)
 
 
 # OEIS A000055
@@ -288,6 +338,29 @@ def random_trees(draw):
 @given(random_trees())
 def test_tree_dp_matches_bruteforce_on_random_trees(t):
     assert leaf_function_tree(t) == leaf_function_bruteforce(t)
+
+
+def test_census_path_matches_tree_dp():
+    # the census runs the DP on the generator's parent arrays; the public
+    # entry roots each generated Graph again by breadth-first search
+    for n in range(1, 14):
+        for parent, t in zip(subtrees._free_tree_parents(n), enumerate_free_trees(n), strict=True):
+            assert all(parent[v] < v for v in range(1, n))
+            assert subtrees._leaf_function_rooted(parent) == leaf_function_tree(t), sorted(t.edges)
+
+
+def test_tree_dp_memory_is_linear():
+    # each vertex's knapsack is freed once merged into its parent's; keeping
+    # every row took 465 KB on this chain
+    t = chain(300)
+    tracemalloc.start()
+    try:
+        lf = leaf_function_tree(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lf.values == (0, 0) + (2,) * 299
+    assert peak < 200_000
 
 
 def test_tree_dp_empty_tree():

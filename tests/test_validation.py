@@ -46,8 +46,18 @@ def test_word_checked_once(call, checks):
     assert checks == {"check_binary": 1}
 
 
-def test_left_recursive_checks_once(checks):
-    assert cs.left_recursive((1,) + (0,) * 8 + (1,), 3) == (2,)
+SEQ = (1,) + (0,) * 8 + (1,)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: cs.left_recursive(SEQ, 3), (2,)),
+    (lambda: cs.right_recursive(SEQ, 3), (2,)),
+    (lambda: cs.alpha_beta_right(SEQ, 3), (11, 2)),
+    (lambda: cs.right(SEQ, 3), (2,)),
+    (lambda: cs.decompose(SEQ, 5), ((1, 0, 1), (1,) + (0,) * 6 + (1,))),
+], ids=["left_recursive", "right_recursive", "alpha_beta_right", "right", "decompose"])
+def test_sequence_checked_once(call, expected, checks):
+    assert call() == expected
     assert checks == {"check_sequence": 1}
 
 
@@ -90,6 +100,9 @@ MALFORMED = [
     (cs.alpha_beta_right, (BAD_SEQ, 3)),
     (cs.left, (BAD_SEQ, 3)),
     (cs.right, (BAD_SEQ, 3)),
+    (cs.right, (5, 3)),
+    (cs.right_recursive, (None, 3)),
+    (cs.alpha_beta_right, (5, 3)),
     (cs.decompose, (BAD_SEQ, 3)),
     (cs.word_of, (BAD_SEQ,)),
     (cs.leaf_function_caterpillar, (BAD_SEQ,)),

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from leafcat import verify, words
+from leafcat import subtrees, verify, words
 from leafcat.cli import main
-from leafcat.subtrees import LeafFunction, leaf_function_tree
+from leafcat.subtrees import LeafFunction
 
 
 def run(capsys, *argv):
@@ -22,7 +22,7 @@ def no_enumeration(monkeypatch):
 
     monkeypatch.setattr(verify.catseq, "all_sequences", started)
     monkeypatch.setattr(verify, "_all_words", started)
-    monkeypatch.setattr(verify, "enumerate_free_trees", started)
+    monkeypatch.setattr(verify, "_free_tree_parents", started)
     for suite in verify.SUITES:
         monkeypatch.setattr(verify, f"suite_{suite.replace('-', '_')}", started)
 
@@ -170,12 +170,13 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     # the first tree on 5 and on 13 vertices read 01 and 0100000000
     broken = {5: (0, 0, 2, 2, 2, 3), 13: (0, 0, 2, 2, 2) + (3,) * 9}
 
-    def leaf_function(t):
-        if t.n in broken:
-            return LeafFunction(t.n, broken.pop(t.n))
-        return leaf_function_tree(t)
+    def leaf_function(parent):
+        n = len(parent)
+        if n in broken:
+            return LeafFunction(n, broken.pop(n))
+        return subtrees._leaf_function_rooted(parent)
 
-    monkeypatch.setattr(verify, "leaf_function_tree", leaf_function)
+    monkeypatch.setattr(verify, "_leaf_function_rooted", leaf_function)
     small, smallest = verify.suite_trees(13)
     assert not broken
     assert (small.claim, small.instances, small.failures) == (
@@ -183,3 +184,17 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     assert (smallest.instances, smallest.failures) == (
         1301, ["non-prefix-normal words at n=13: ['0100000000', '1101011011']"])
     assert smallest.notes.endswith(": 0100000000,1101011011")
+
+
+def test_tree_census_builds_no_graph(monkeypatch):
+    # the census hands the generator's parent arrays to the DP: no Graph is
+    # built, so none is rooted again by breadth-first search
+    def built(*args, **kwargs):
+        raise AssertionError("Graph built")
+
+    monkeypatch.setattr(subtrees, "Graph", built)
+    with pytest.raises(AssertionError, match="Graph built"):
+        next(subtrees.enumerate_free_trees(4))
+    small, smallest = verify.run_suite("trees", 13)
+    assert small.passed and smallest.passed
+    assert (small.instances, smallest.instances) == (985, 1301)
