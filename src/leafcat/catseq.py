@@ -13,7 +13,9 @@ from __future__ import annotations
 from itertools import product
 from operator import le
 
+from .bounds import check_range
 from .subtrees import LeafFunction
+from .words import WORD_MAX_LEN
 
 CatSeq = tuple  # tuple[int, ...]
 
@@ -70,18 +72,12 @@ def graft(s1: CatSeq, s2: CatSeq) -> CatSeq:
     return s1[:-1] + (s1[-1] + s2[0] - 2,) + s2[1:]
 
 
-def _check_trunc_index(s: CatSeq, i: int) -> int:
-    """Check s and the truncation size i; return size(s)."""
-    n = size(s)
-    if not 3 <= i <= n:
-        raise ValueError(f"truncation size {i} outside 3..{n}")
-    return n
-
-
 def left_recursive(s: CatSeq, i: int) -> CatSeq:
     """Reference recursion for the left truncation: peel from the right end.
     Each peel removes exactly one vertex."""
-    for _ in range(_check_trunc_index(s, i) - i):
+    n = size(s)
+    check_range("i", i, 3, n)
+    for _ in range(n - i):
         if s[-1] >= 2:
             s = s[:-1] + (s[-1] - 1,)
         else:
@@ -102,7 +98,7 @@ def alpha_beta_left(s: CatSeq, i: int) -> tuple[int, int]:
     """The unique (a, alpha) with left(s, i) = (s_1,...,s_a, alpha), where
     0 <= a <= k-1, 1 <= alpha <= s_{a+1}+1 and i = sum_{m<=a}(s_m+1) + alpha + 1.
     """
-    _check_trunc_index(s, i)
+    check_range("i", i, 3, size(s))
     prefix = 0
     for a in range(len(s)):
         alpha = i - prefix - 1
@@ -140,6 +136,7 @@ def decompose(s: CatSeq, i: int) -> tuple[CatSeq, CatSeq]:
 def word_of(s: CatSeq) -> str:
     """The unique binary word w with rc(w) = s."""
     check_sequence(s)
+    check_range("word length", len(s) + sum(s) - 3, 0, WORD_MAX_LEN)
     if len(s) == 1:
         return "1" * (s[0] - 2)
     parts = ["1" * (s[0] - 1)] + ["1" * x for x in s[1:-1]] + ["1" * (s[-1] - 1)]
@@ -158,7 +155,7 @@ def leaf_function_caterpillar(s: CatSeq) -> LeafFunction:
 # ---------------------------------------------------------------------------
 # Poset machinery
 
-HASSE_MAX_SIZE = 12
+SEQUENCES_MAX_SIZE, HASSE_MAX_SIZE = 20, 12
 
 
 def all_sequences(max_size: int) -> list[CatSeq]:
@@ -169,6 +166,7 @@ def all_sequences(max_size: int) -> list[CatSeq]:
     """
     from .words import rc
 
+    check_range("max_size", max_size, 0, SEQUENCES_MAX_SIZE)
     out = []
     for length in range(max(0, max_size - 2)):
         for bits in product("01", repeat=length):
@@ -182,8 +180,7 @@ def hasse_covers(max_size: int) -> set[tuple[CatSeq, CatSeq]]:
     The order is size-monotone, so restricting to a size bound does not
     create spurious covers.
     """
-    if not 0 <= max_size <= HASSE_MAX_SIZE:
-        raise ValueError(f"max_size {max_size} outside 0..{HASSE_MAX_SIZE}")
+    check_range("max_size", max_size, 0, HASSE_MAX_SIZE)
     seqs = all_sequences(max_size)
     degrees = [spine_degrees(s) for s in seqs]
     m = len(seqs)

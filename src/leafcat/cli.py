@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import catseq, graph, verify, words
+from .bounds import check_range
 from .leafwords import (
     Rejection,
     delta_leaf_word,
@@ -20,6 +21,7 @@ from .leafwords import (
     realize_caterpillar,
 )
 from .subtrees import (
+    BRUTEFORCE_MAX_N,
     DEFAULT_MAX_N,
     NEG_INF,
     LeafFunction,
@@ -27,48 +29,35 @@ from .subtrees import (
     leaf_function_tree,
 )
 
-FAMILIES = ("wheel", "star", "chain", "fk", "caterpillar")
+# family -> the name of its generator in `graph`, looked up when called
+GENERATORS = {"wheel": "wheel", "star": "star", "chain": "chain", "fk": "fk_tree"}
+FAMILIES = (*GENERATORS, "caterpillar")
+PARAM_HELP = (f"family parameter: wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.STAR_MAX_M}, "
+              f"chain 1..{graph.CHAIN_MAX_N}, fk 1..{graph.FK_MAX_K}, or a caterpillar "
+              f"sequence of size 3..{graph.GRAPH_MAX_N}")
 
 
 def _build_family(family: str, param: str) -> graph.Graph:
     if family == "caterpillar":
         return graph.caterpillar_graph(catseq.parse_sequence(param))
-    n = int(param)
-    if family == "wheel":
-        return graph.wheel(n)
-    if family == "star":
-        return graph.star(n)
-    if family == "chain":
-        return graph.chain(n)
-    if family == "fk":
-        return graph.fk_tree(n)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _input_graph(args) -> graph.Graph:
-    if args.family:
-        if args.param is None:
-            raise ValueError("--family requires --param")
-        return _build_family(args.family, args.param)
-    if args.graph_file:
-        return graph.read_edge_list(Path(args.graph_file).read_text())
-    raise ValueError("no graph input given")
+    return getattr(graph, GENERATORS[family])(int(param))
 
 
 def _input_leaf_function(args) -> LeafFunction:
+    check_range("max_n", args.max_n, 0, BRUTEFORCE_MAX_N)
     if args.caterpillar:
         return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
-    g = _input_graph(args)
+    if args.family:
+        if args.param is None:
+            raise ValueError("--family requires --param")
+        g = _build_family(args.family, args.param)
+    elif args.graph_file:
+        g = graph.read_edge_list(Path(args.graph_file).read_text())
+    else:
+        raise ValueError("no graph input given")
     if graph.is_tree(g):
         return leaf_function_tree(g)
     return leaf_function_bruteforce(g, max_n=args.max_n)
-
-
-def _print_leaf_function(lf: LeafFunction, as_json: bool) -> None:
-    if as_json:
-        print(lf.to_json())
-    else:
-        print(", ".join(f"{i} -> {v!r}" for i, v in enumerate(lf.values)))
 
 
 def _vertex_list(text: str) -> list[int]:
@@ -94,12 +83,13 @@ def _word_arg(args) -> str:
 
 def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph_file", nargs="?", help="edge-list file ('n m' header)")
-    p.add_argument("--caterpillar", help="caterpillar sequence, e.g. 3,0,2,4,0,1")
+    p.add_argument("--caterpillar", help=f"caterpillar sequence of size "
+                   f"3..{words.WORD_MAX_LEN + 3}, e.g. 3,0,2,4,0,1")
     p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--param", help="family parameter (int, or sequence for caterpillar)")
+    p.add_argument("--param", help=PARAM_HELP)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                   help="size bound for brute-force enumeration on a graph that is "
-                        "not a tree (trees use the tree DP, with no bound)")
+                   help=f"brute-force bound 0..{BRUTEFORCE_MAX_N} on a graph that is not a "
+                        f"tree (default {DEFAULT_MAX_N}); a tree takes the tree DP instead")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a family graph as an edge list")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--param", required=True)
+    p.add_argument("--param", required=True, help=PARAM_HELP)
     p.add_argument("--dot", action="store_true", help="emit DOT instead")
     p.add_argument("--highlight", help="comma-separated vertices to color blue")
 
@@ -140,12 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("values", help="comma-separated values, -inf allowed")
 
     p = sub.add_parser("poset", help="cover relations of small caterpillar sequences")
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--max-size", type=int, default=6,
+                   help=f"largest sequence size, 0..{catseq.HASSE_MAX_SIZE} (default 6)")
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + verify.SUITES + tuple(verify.SUITE_ALIASES))
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
+        f"{name} {low}..{high}" for name, (low, high) in verify.SUITE_BOUNDS.items()))
 
     return ap
 
@@ -162,7 +154,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "leaf-function":
-        _print_leaf_function(_input_leaf_function(args), args.json)
+        lf = _input_leaf_function(args)
+        print(lf.to_json() if args.json
+              else ", ".join(f"{i} -> {v!r}" for i, v in enumerate(lf.values)))
         return 0
 
     if args.command == "leaf-word":
@@ -273,3 +267,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -12,9 +12,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
+from .bounds import check_range
 from .graph import Graph
 
+# brute force's default size bound, and the ceiling of that bound
 DEFAULT_MAX_N = 20
+BRUTEFORCE_MAX_N = 25
 
 
 class Sentinel:
@@ -124,8 +127,8 @@ def _tree_stats(g: Graph, mask: int, vertices: tuple[int, ...]):
 
 def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
     """Vertex sets U with |U| = i and G[U] a tree, each once, sorted tuples."""
-    if not 0 <= i <= g.n:
-        raise ValueError(f"i={i} outside 0..{g.n}")
+    check_range("i", i, 0, g.n)
+    check_range("n", g.n, 0, BRUTEFORCE_MAX_N)
     if i == 0:
         yield ()
         return
@@ -158,8 +161,8 @@ def _scan(g: Graph, limit: int):
 
 def leaf_function_bruteforce(g: Graph, max_n: int = DEFAULT_MAX_N) -> LeafFunction:
     """Ground-truth leaf function by exhaustive enumeration."""
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, exceeds bound {max_n}")
+    check_range("max_n", max_n, 0, BRUTEFORCE_MAX_N)
+    check_range("n", g.n, 0, max_n)
     best, _ = _scan(g, g.n)
     return LeafFunction(g.n, tuple(NEG_INF if b is None else b for b in best))
 
@@ -169,10 +172,9 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
 
     Deterministic: first maximizing set in enumeration order.
     """
-    if not 0 <= i <= g.n:
-        raise ValueError(f"i={i} outside 0..{g.n}")
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, exceeds bound {max_n}")
+    check_range("i", i, 0, g.n)
+    check_range("max_n", max_n, 0, BRUTEFORCE_MAX_N)
+    check_range("n", g.n, 0, max_n)
     _, witness = _scan(g, i)
     return None if witness[i] is None else _mask_vertices(witness[i])
 
@@ -259,8 +261,7 @@ def _free_tree_parents(n: int) -> Iterator[list[int]]:
     -1): the canonical level sequences of Wright, Richmond, Odlyzko and
     McKay, "Constant time generation of free trees" (SIAM J. Comput., 1986),
     rooted at a center, in decreasing order."""
-    if not 1 <= n <= FREE_TREE_MAX_N:
-        raise ValueError(f"n={n} outside supported range 1..{FREE_TREE_MAX_N}")
+    check_range("n", n, 1, FREE_TREE_MAX_N)
     if n == 1:
         yield [-1]
         return

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
+from .bounds import check_range
 from .leafwords import delta_leaf_word
 from .subtrees import _free_tree_parents, _leaf_function_rooted
 
@@ -69,12 +70,6 @@ def _leaf_word(lf) -> str:
     return "".join(str(x) for x in delta_leaf_word(lf))
 
 
-def _check_bound(suite: str, name: str, value: int, low: int, high: int) -> None:
-    """Reject a bound outside low..high before the suite starts any work."""
-    if not low <= value <= high:
-        raise ValueError(f"{suite} suite supports {low} <= {name} <= {high}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # poset
 
@@ -83,7 +78,7 @@ POSET_MIN_SIZE, POSET_MAX_SIZE = 0, 9
 
 
 def suite_poset(max_size: int = 7) -> list[VerifyReport]:
-    _check_bound("poset", "max_size", max_size, POSET_MIN_SIZE, POSET_MAX_SIZE)
+    check_range("max_size", max_size, POSET_MIN_SIZE, POSET_MAX_SIZE)
     seqs = catseq.all_sequences(max_size)
     idx = range(len(seqs))
     le = {(i, j) for i in idx for j in idx if catseq.is_subsequence(seqs[i], seqs[j])}
@@ -117,7 +112,7 @@ MORPHISM_MIN_LEN, MORPHISM_MAX_LEN = 0, 10
 
 
 def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
-    _check_bound("morphism", "max_len", max_len, MORPHISM_MIN_LEN, MORPHISM_MAX_LEN)
+    check_range("max_len", max_len, MORPHISM_MIN_LEN, MORPHISM_MAX_LEN)
     pair_len = min(max_len, 6)
     pair_words = _all_words(pair_len)
     all_words = _all_words(max_len)
@@ -212,7 +207,7 @@ ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN = 0, 12
 
 
 def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
-    _check_bound("roundtrip", "max_len", max_len, ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN)
+    check_range("max_len", max_len, ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN)
     gen_bound = min(max_len, 10)
 
     def read_back(w):
@@ -239,8 +234,7 @@ LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN = 0, 8
 
 
 def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
-    _check_bound("leaf-equivalence", "max_len", max_len,
-                 LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN)
+    check_range("max_len", max_len, LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN)
     all_words = _all_words(max_len)
     lfs = {w: catseq.leaf_function_caterpillar(words.rc(w)) for w in all_words}
     profs = {w: words.f1_profile(w) for w in all_words}
@@ -268,7 +262,7 @@ def _normal_tree(n: int, parent: list[int]):
 
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
-    _check_bound("trees", "max_n", max_n, TREES_MIN_N, TREES_MAX_N)
+    check_range("max_n", max_n, TREES_MIN_N, TREES_MAX_N)
     # the generator's parent arrays go straight to the tree DP
     trees = ((n, p) for n in range(3, min(max_n, 12) + 1) for p in _free_tree_parents(n))
     reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), trees, _normal_tree)]
@@ -283,16 +277,15 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     return reports
 
 
-# suite name -> runner taking the optional bound; each looks its suite_*
-# function up when called, so a wrapper set on that name sees these calls too
-_RUNNERS = {
-    "poset": lambda *bound: suite_poset(*bound),
-    "morphism": lambda *bound: suite_morphism(*bound),
-    "roundtrip": lambda *bound: suite_roundtrip(*bound),
-    "leaf-equivalence": lambda *bound: suite_leaf_equivalence(*bound),
-    "trees": lambda *bound: suite_trees(*bound),
+# suite name -> the range of its bound
+SUITE_BOUNDS = {
+    "poset": (POSET_MIN_SIZE, POSET_MAX_SIZE),
+    "morphism": (MORPHISM_MIN_LEN, MORPHISM_MAX_LEN),
+    "roundtrip": (ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN),
+    "leaf-equivalence": (LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN),
+    "trees": (TREES_MIN_N, TREES_MAX_N),
 }
-SUITES = tuple(_RUNNERS)
+SUITES = tuple(SUITE_BOUNDS)
 # accepted alternate spellings for the suite selector
 SUITE_ALIASES = {"theorem53": "roundtrip", "theorem61": "leaf-equivalence"}
 
@@ -307,7 +300,12 @@ def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
         if max_n is not None:
             raise ValueError("a bound applies to a single suite, not to 'all'")
         return [r for s in SUITES for r in run_suite(s)]
-    runner = _RUNNERS.get(SUITE_ALIASES.get(name, name))
-    if runner is None:
+    name = SUITE_ALIASES.get(name, name)
+    if name not in SUITE_BOUNDS:
         raise ValueError(f"unknown suite {name!r}")
-    return runner() if max_n is None else runner(max_n)
+    # looked up when called, so a wrapper set on a suite_* name sees this call
+    suite = globals()[f"suite_{name.replace('-', '_')}"]
+    if max_n is None:
+        return suite()
+    check_range("max_n", max_n, *SUITE_BOUNDS[name])
+    return suite(max_n)

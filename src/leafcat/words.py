@@ -11,10 +11,16 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator
 
+from .bounds import check_range
+
 ENUM_MAX_LEN = 22
+# the longest word a public function takes; F1 profiles are O(n^2), and pnf
+# takes about 0.9 s at this length (one core of a 2-vCPU VM)
+WORD_MAX_LEN = 5000
 
 
 def check_binary(w: str) -> None:
+    check_range("word length", len(w), 0, WORD_MAX_LEN)
     if any(c not in "01" for c in w):
         raise ValueError(f"not a binary word: {w!r}")
 
@@ -35,19 +41,10 @@ def _f1s(pre: tuple[int, ...]) -> Iterator[int]:
 
 
 def f1(w: str, i: int) -> int:
-    """Maximal number of 1s in a factor of length i."""
-    check_binary(w)
-    if not 0 <= i <= len(w):
-        raise ValueError(f"window length {i} outside 0..{len(w)}")
-    if i == 0:
-        return 0
-    count = w[:i].count("1")
-    best = count
-    for j in range(i, len(w)):
-        count += (w[j] == "1") - (w[j - i] == "1")
-        if count > best:
-            best = count
-    return best
+    """Maximal number of 1s in a factor of length i, as `_f1s` finds it."""
+    pre = prefix_ones(w)
+    check_range("i", i, 0, len(w))
+    return max(map(sub, pre[i:], pre[: len(pre) - i]))
 
 
 def f1_profile(w: str) -> tuple[int, ...]:
@@ -120,8 +117,7 @@ def enumerate_pnw(n: int) -> Iterator[str]:
     Prefix normal words are closed under taking prefixes, so the search tree
     is pruned at the first non-normal prefix.
     """
-    if not 0 <= n <= ENUM_MAX_LEN:
-        raise ValueError(f"n={n} outside supported range 0..{ENUM_MAX_LEN}")
+    check_range("n", n, 0, ENUM_MAX_LEN)
 
     def grow(w: str, pre: tuple[int, ...]) -> Iterator[str]:
         if len(w) == n:

@@ -137,6 +137,21 @@ def test_word_of():
     assert cs.word_of((1, 0, 2, 1, 2, 0, 1)) == "00110101100"
 
 
+def test_word_of_rejects_a_word_past_the_cap():
+    cap = wd.WORD_MAX_LEN
+    # size cap + 4 reads as a word of cap + 1 letters
+    with pytest.raises(ValueError, match=f"word length={cap + 1} outside 0..{cap}"):
+        cs.word_of((cap + 3,))
+    assert cs.word_of((cap + 2,)) == "1" * cap
+
+
+def test_all_sequences_bound():
+    cap = cs.SEQUENCES_MAX_SIZE
+    for size in (-1, cap + 1):
+        with pytest.raises(ValueError, match=f"max_size={size} outside 0..{cap}"):
+            cs.all_sequences(size)
+
+
 def test_word_of_rc_roundtrip():
     for w in all_words(12):
         assert cs.word_of(wd.rc(w)) == w

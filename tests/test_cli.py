@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import leafcat
+from leafcat import catseq, graph, verify, words
 from leafcat.cli import main
 from leafcat.graph import read_edge_list, wheel, write_edge_list
+from leafcat.subtrees import BRUTEFORCE_MAX_N
 
 
 def run(capsys, *argv):
@@ -37,11 +41,12 @@ def test_generate_dot(capsys):
 
 
 def test_generate_dot_rejects_bad_highlight(capsys):
-    for highlight, vertex in (("0,3", "3"), ("-1", "-1"), ("0,x", "'x'"), ("0,,1", "''")):
+    for highlight, message in (("0,3", "vertex=3 outside 0..2"), ("-1", "vertex=-1 outside 0..2"),
+                               ("0,x", "vertex 'x' "), ("0,,1", "vertex '' ")):
         code, out, err = run(capsys, "generate", "--family", "chain", "--param", "3",
                              "--dot", "--highlight", highlight)
         assert code == 2 and out == ""
-        assert f"vertex {vertex} " in err
+        assert message in err
 
 
 def test_generate_highlight_needs_dot(capsys):
@@ -91,7 +96,13 @@ def test_tree_past_brute_force_bound(capsys):
     assert out.strip() == ", ".join(f"{i} -> {0 if i < 2 else 2}" for i in range(31))
     code, out, err = run(capsys, "leaf-function", "--family", "wheel", "--param", "20")
     assert code == 2 and out == ""
-    assert "21 vertices, exceeds bound 20" in err
+    assert err == "error: n=21 outside 0..20\n"
+
+
+def test_brute_force_bound_past_its_ceiling(capsys):
+    code, out, err = run(capsys, "leaf-function", "--family", "wheel", "--param", "5",
+                         "--max-n", "1000")
+    assert (code, out, err) == (2, "", f"error: max_n=1000 outside 0..{BRUTEFORCE_MAX_N}\n")
 
 
 def test_tree_output_matches_brute_force(tmp_path, capsys, monkeypatch):
@@ -185,7 +196,7 @@ def test_poset_dot(capsys):
 def test_poset_rejects_a_negative_size(capsys):
     code, out, err = run(capsys, "poset", "--max-size", "-3")
     assert (code, out) == (2, "")
-    assert err == "error: max_size -3 outside 0..12\n"
+    assert err == "error: max_size=-3 outside 0..12\n"
 
 
 def test_verify_roundtrip_suite(capsys):
@@ -238,8 +249,9 @@ def test_verify_rejects_bound_outside_suite_range(capsys):
     for suite, bound in (("poset", "-1"), ("trees", "2"), ("leaf-equivalence", "9"),
                          ("roundtrip", "13")):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", bound)
+        low, high = verify.SUITE_BOUNDS[suite]
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {suite} suite supports ") and f"got {bound}" in err
+        assert err == f"error: max_n={bound} outside {low}..{high}\n"
 
 
 def _checkout_env():
@@ -276,6 +288,78 @@ def test_python_m_leafcat():
     proc = subprocess.run([sys.executable, "-m", "leafcat", "poset", "--max-size", "13"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "outside 0..12" in proc.stderr
+
+
+def test_python_m_leafcat_cli():
+    proc = subprocess.run([sys.executable, "-m", "leafcat.cli", "rc", "0101"], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1,1,2\n", "")
+
+
+# family -> (its parameter's name, minimum, cap)
+FAMILY_RANGES = {"wheel": ("n", 3, graph.WHEEL_MAX_N), "star": ("m", 0, graph.STAR_MAX_M),
+                 "chain": ("n", 1, graph.CHAIN_MAX_N), "fk": ("k", 1, graph.FK_MAX_K)}
+
+
+def _out_of_range():
+    """(id, argv, rejection) for each bounded flag at its minimum - 1 and its
+    cap + 1; a caterpillar's size and a word's length have no minimum - 1."""
+    cases = []
+    graph_commands = ("generate", "leaf-function", "leaf-word")
+    for family, (name, low, high) in FAMILY_RANGES.items():
+        for value in (low - 1, high + 1):
+            cases += [(f"{command}-{family}-{value}",
+                       [command, "--family", family, "--param", str(value)],
+                       f"{name}={value} outside {low}..{high}") for command in graph_commands]
+    cap = graph.GRAPH_MAX_N
+    cases += [(f"{command}-caterpillar-{cap + 1}",
+               [command, "--family", "caterpillar", "--param", f"{cap - 2},1"],
+               f"size={cap + 1} outside 3..{cap}") for command in graph_commands]
+    for value in (-1, BRUTEFORCE_MAX_N + 1):
+        cases += [(f"{command}-max-n-{value}",
+                   [command, "--family", "wheel", "--param", "5", "--max-n", str(value)],
+                   f"max_n={value} outside 0..{BRUTEFORCE_MAX_N}")
+                  for command in ("leaf-function", "leaf-word")]
+    cap = catseq.HASSE_MAX_SIZE
+    cases += [(f"poset-{value}", ["poset", "--max-size", str(value)],
+               f"max_size={value} outside 0..{cap}") for value in (-1, cap + 1)]
+    for suite, (low, high) in verify.SUITE_BOUNDS.items():
+        cases += [(f"verify-{suite}-{value}", ["verify", "--suite", suite, "--max-n", str(value)],
+                   f"max_n={value} outside {low}..{high}") for value in (low - 1, high + 1)]
+    cap = words.WORD_MAX_LEN
+    long_word = f"word length={cap + 1} outside 0..{cap}"
+    cases += [(f"{command}-long-word", [command, "1" * (cap + 1)], long_word)
+              for command in ("rc", "pnf", "check-pn")]
+    # a caterpillar of size cap + 4 reads as a word of cap + 1 letters
+    cases += [("word-of-long-word", ["word-of", str(cap + 3)], long_word),
+              ("leaf-function-caterpillar-long-word",
+               ["leaf-function", "--caterpillar", str(cap + 3)], long_word)]
+    return cases
+
+
+OUT_OF_RANGE = _out_of_range()
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any start of the work behind a command fail the test."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for target in ("leafcat.cli.leaf_function_bruteforce", "leafcat.cli.leaf_function_tree",
+                   "leafcat.words.f1_profile", "leafcat.words.rc",
+                   "leafcat.catseq.all_sequences"):
+        monkeypatch.setattr(target, started)
+    monkeypatch.setattr(graph.Graph, "from_edges", staticmethod(started))
+    for suite in verify.SUITES:
+        monkeypatch.setattr(verify, f"suite_{suite.replace('-', '_')}", started)
+
+
+@pytest.mark.parametrize("argv, rejection", [case[1:] for case in OUT_OF_RANGE],
+                         ids=[case[0] for case in OUT_OF_RANGE])
+def test_bounded_flag_out_of_range_exits_2(capsys, no_work, argv, rejection):
+    assert run(capsys, *argv) == (2, "", f"error: {rejection}\n")
 
 
 def test_machine_outputs_reparse(capsys):

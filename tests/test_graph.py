@@ -3,6 +3,11 @@ import re
 import pytest
 
 from leafcat.graph import (
+    CHAIN_MAX_N,
+    FK_MAX_K,
+    GRAPH_MAX_N,
+    STAR_MAX_M,
+    WHEEL_MAX_N,
     Graph,
     caterpillar_graph,
     chain,
@@ -43,6 +48,59 @@ def test_graph_rejects_self_loops_and_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_self_loop_rejected_by_graph():
+    # from_edges leaves the self-loop to Graph, which names it
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(1, 1)])
+
+
+def test_graph_rejects_one_vertex_past_its_cap():
+    with pytest.raises(ValueError, match=re.escape(f"n={GRAPH_MAX_N + 1} outside 0..{GRAPH_MAX_N}")):
+        Graph(GRAPH_MAX_N + 1, frozenset())
+    assert Graph(GRAPH_MAX_N, frozenset()).n == GRAPH_MAX_N
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Make any start of building a graph fail the test."""
+
+    def started(*args):
+        raise AssertionError("graph building started")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(started))
+
+
+# (generator, an argument past its range, the rejection)
+OUT_OF_RANGE = [
+    (chain, 0, f"n=0 outside 1..{CHAIN_MAX_N}"),
+    (chain, CHAIN_MAX_N + 1, f"n={CHAIN_MAX_N + 1} outside 1..{CHAIN_MAX_N}"),
+    (star, -1, f"m=-1 outside 0..{STAR_MAX_M}"),
+    (star, STAR_MAX_M + 1, f"m={STAR_MAX_M + 1} outside 0..{STAR_MAX_M}"),
+    (wheel, 2, f"n=2 outside 3..{WHEEL_MAX_N}"),
+    (wheel, WHEEL_MAX_N + 1, f"n={WHEEL_MAX_N + 1} outside 3..{WHEEL_MAX_N}"),
+    (fk_tree, 0, f"k=0 outside 1..{FK_MAX_K}"),
+    (fk_tree, FK_MAX_K + 1, f"k={FK_MAX_K + 1} outside 1..{FK_MAX_K}"),
+    # one vertex over the cap: a spine of 2 carrying GRAPH_MAX_N - 1 leaves
+    (caterpillar_graph, (GRAPH_MAX_N - 2, 1), f"size={GRAPH_MAX_N + 1} outside 3..{GRAPH_MAX_N}"),
+]
+
+
+@pytest.mark.parametrize("make, arg, message", OUT_OF_RANGE,
+                         ids=[f"{make.__name__}-{message.split()[0]}" for make, _, message in OUT_OF_RANGE])
+def test_generator_rejects_before_building(make, arg, message, no_build):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(arg)
+
+
+@pytest.mark.parametrize("make, arg", [
+    (chain, CHAIN_MAX_N), (star, STAR_MAX_M), (wheel, WHEEL_MAX_N), (fk_tree, FK_MAX_K),
+    (caterpillar_graph, (GRAPH_MAX_N - 3, 1)),
+], ids=["chain", "star", "wheel", "fk_tree", "caterpillar_graph"])
+def test_generator_caps_fit_the_graph_cap(make, arg):
+    # the largest argument builds a graph the graph cap admits; one more would not
+    assert GRAPH_MAX_N - 6 < make(arg).n <= GRAPH_MAX_N
 
 
 def test_from_edges_dedups():
@@ -154,7 +212,7 @@ def test_edge_list_rejects_bad_input():
         "3 1\n0 x\n": "bad edge line '0 x'",
         "3\n": "bad header line '3'",
         "3 a\n": "bad header line '3 a'",
-        "-1 0\n": "n must be >= 0",
+        "-1 0\n": f"n=-1 outside 0..{GRAPH_MAX_N}",
     }
     for text, message in bad.items():
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -71,6 +71,18 @@ def test_size_bound_enforced():
     leaf_function_bruteforce(chain(21), max_n=21)
 
 
+def test_brute_force_bound_has_a_ceiling():
+    cap = subtrees.BRUTEFORCE_MAX_N
+    message = f"max_n={cap + 1} outside 0..{cap}"
+    with pytest.raises(ValueError, match=message):
+        leaf_function_bruteforce(chain(3), max_n=cap + 1)
+    with pytest.raises(ValueError, match=message):
+        fully_leafed_witness(chain(3), 2, max_n=cap + 1)
+    with pytest.raises(ValueError, match=f"n={cap + 1} outside 0..{cap}"):
+        next(enumerate_induced_subtrees(chain(cap + 1), 2))
+    assert leaf_function_bruteforce(chain(cap), max_n=cap).values[cap] == 2
+
+
 def test_enumerate_subtrees_triangle():
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert list(enumerate_induced_subtrees(triangle, 3)) == []

@@ -149,6 +149,22 @@ def test_equivalent():
     assert not wd.equivalent("01", "010")
 
 
+def test_word_past_its_cap_is_rejected():
+    cap = wd.WORD_MAX_LEN
+    message = f"word length={cap + 1} outside 0..{cap}"
+    for fn in (wd.pnf, wd.f1_profile, wd.is_prefix_normal, wd.pn_violation, wd.rc):
+        with pytest.raises(ValueError, match=message):
+            fn("1" * (cap + 1))
+    assert wd.rc("1" * cap) == (cap + 2,)
+
+
+def test_f1_window_out_of_range():
+    with pytest.raises(ValueError, match="i=4 outside 0..3"):
+        wd.f1("011", 4)
+    with pytest.raises(ValueError, match="i=-1 outside 0..3"):
+        wd.f1("011", -1)
+
+
 def test_rc_examples():
     assert wd.rc("") == (2,)
     assert wd.rc("110101") == (3, 1, 2)
