@@ -40,7 +40,7 @@ PARAM_HELP = (f"family parameter: wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.S
 def _build_family(family: str, param: str) -> graph.Graph:
     if family == "caterpillar":
         return graph.caterpillar_graph(catseq.parse_sequence(param))
-    return getattr(graph, GENERATORS[family])(int(param))
+    return getattr(graph, GENERATORS[family])(_integer("--param", param))
 
 
 def _input_leaf_function(args) -> LeafFunction:
@@ -60,14 +60,11 @@ def _input_leaf_function(args) -> LeafFunction:
     return leaf_function_bruteforce(g, max_n=args.max_n)
 
 
-def _vertex_list(text: str) -> list[int]:
-    vertices = []
-    for part in text.split(","):
-        try:
-            vertices.append(int(part))
-        except ValueError:
-            raise ValueError(f"--highlight: vertex {part.strip()!r} is not an integer") from None
-    return vertices
+def _integer(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name}={text.strip()!r} is not an integer") from None
 
 
 def _word_arg(args) -> str:
@@ -148,7 +145,8 @@ def _run(args) -> int:
             raise ValueError("--highlight needs --dot")
         g = _build_family(args.family, args.param)
         if args.dot:
-            sys.stdout.write(graph.to_dot(g, _vertex_list(args.highlight) if args.highlight else ()))
+            highlight = args.highlight.split(",") if args.highlight else ()
+            sys.stdout.write(graph.to_dot(g, [_integer("vertex", x) for x in highlight]))
         else:
             sys.stdout.write(graph.write_edge_list(g))
         return 0
@@ -213,8 +211,8 @@ def _run(args) -> int:
         return 0 if ok else 1
 
     if args.command == "realize":
-        parts = [p.strip() for p in args.values.split(",")]
-        vals = tuple(NEG_INF if p == "-inf" else int(p) for p in parts)
+        parts = enumerate(p.strip() for p in args.values.split(","))
+        vals = tuple(NEG_INF if p == "-inf" else _integer(f"L({i})", p) for i, p in parts)
         try:
             lf = LeafFunction(len(vals) - 1, vals)
         except ValueError as exc:

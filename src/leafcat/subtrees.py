@@ -186,62 +186,101 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
 _NONE = -(1 << 30)
 # the knapsack of a vertex before any child merges: the set {v} alone
 _ALONE = ([_NONE, 0], [_NONE, _NONE], [_NONE, _NONE])
+# rooted subtrees of at most this many vertices are memoised by their shape
+_MEMO_MAX_SIZE = 8
 
 
 def leaf_function_tree(t: Graph) -> LeafFunction:
-    """L_T of a tree: the tree DP on its breadth-first numbering from 0."""
-    n = t.n
-    if n == 0:
+    """L_T of a tree: the tree DP on its depth-first preorder from vertex 0."""
+    if t.n == 0:
         return LeafFunction(0, (0,))
-    label = [0] + [-1] * (n - 1)  # vertex -> its number; the root is 0
-    order, parent = [0], [-1]
-    for v in order:
-        for u in t.adj[v]:
-            if label[u] < 0:
-                label[u] = len(order)
-                order.append(u)
-                parent.append(label[v])
-    if len(order) != n or len(t.edges) != n - 1:
+    levels = _preorder_levels(t)
+    if len(levels) != t.n or len(t.edges) != t.n - 1:
         raise ValueError("leaf_function_tree requires a tree")
-    return _leaf_function_rooted(parent)
+    return _leaf_function_levels(levels, {})
 
 
-def _leaf_function_rooted(parent: list[int]) -> LeafFunction:
-    """L_T in O(n^2) of the tree where each vertex v > 0 hangs from
-    parent[v] < v, after Blondin Masse et al., "Fully leafed induced
-    subtrees" (arXiv:1709.09808).
+def _preorder_levels(g: Graph) -> list[int]:
+    """The depths, in a depth-first preorder from vertex 0, of the vertices
+    that vertex 0 reaches; a preorder level sequence when g is a tree."""
+    levels, stack, seen = [], [(0, 0)], {0}
+    while stack:
+        v, d = stack.pop()
+        levels.append(d)
+        for u in g.adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, d + 1))
+    return levels
+
+
+def _leaf_function_levels(levels: list[int], memo: dict) -> LeafFunction:
+    """L_T in O(n^2) of the tree with preorder level sequence `levels`, after
+    Blondin Masse et al., "Fully leafed induced subtrees" (arXiv:1709.09808).
 
     Every subtree S has a top vertex v, the one nearest the root.  A knapsack
     over v's children records, per size of S and per number of chosen
     children capped at 2, the most leaves of S other than v; v counts as a
     leaf of S when its parent is in S and it has no chosen child, or when it
-    is the top and has exactly one.  Each vertex, last to first, merges into
-    its parent's knapsack and is dropped, so the live rows are O(n)."""
-    n = len(parent)
+    is the top and has exactly one.  A vertex closes once its subtree has
+    been walked, merges into its parent's knapsack and is dropped, so the live
+    rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices is looked up
+    in `memo` by its shape, its slice of `levels` less its own depth, and on a
+    hit is merged without being walked; the memo holds its "under parent" row
+    and the best leaf counts of the sets topped inside it."""
+    n = len(levels)
     best = [0] * (n + 1)
-    # knapsacks[v][c][s]: most leaves other than v of a set of s vertices topped
-    # by v with min(chosen children, 2) == c; None until a child merges
-    knapsacks: list[list[list[int]] | None] = [None] * n
-    for v in range(n - 1, -1, -1):
-        none, one, more = knapsacks.pop() or _ALONE  # knapsacks[v], dropped
-        for s in range(2, len(none)):
-            best[s] = max(best[s], one[s] + 1, more[s])
-        if v == 0:
-            break  # the root merges into nothing
-        # the most leaves of a set of s vertices topped by v, counting v,
-        # when v's parent is in the set too
-        sub = [(s, max(none[s] + 1, one[s], more[s])) for s in range(1, len(none))]
-        rows = knapsacks[parent[v]] or _ALONE
-        grown = [row + [_NONE] * len(sub) for row in rows]
-        for c, row in enumerate(rows):
-            out = grown[min(c + 1, 2)]
-            for s, a in enumerate(row):
-                if a >= 0:
-                    for k, b in sub:
-                        if a + b > out[s + k]:
-                            out[s + k] = a + b
-        knapsacks[parent[v]] = grown
-    return LeafFunction(n, tuple(best))
+    # the open vertices [depth, knapsack, memo key, inside] below a placeholder
+    # parent of the root; inside gathers the best leaf counts of the sets topped
+    # in the subtree: its own row when the subtree is memoised, else `best`
+    stack = [[-1, _ALONE, None, best]]
+    v = 0
+    while True:
+        d = levels[v] if v < n else 0  # at the end, close every vertex
+        while stack[-1][0] >= d:
+            _, (none, one, more), key, inside = stack.pop()
+            for s in range(2, len(none)):
+                inside[s] = max(inside[s], one[s] + 1, more[s])
+            # the most leaves of a set of s vertices topped by v, counting v,
+            # when v's parent is in the set too
+            under = tuple([max(none[s] + 1, one[s], more[s]) for s in range(1, len(none))])
+            if key is not None:
+                memo[key] = under, tuple(inside)
+            _merge_up(stack[-1], under, inside)
+        if v == n:
+            return LeafFunction(n, tuple(best))
+        end, stop = v + 1, min(n, v + _MEMO_MAX_SIZE + 1)
+        while end < stop and levels[end] > d:
+            end += 1
+        key = None
+        if end - v <= _MEMO_MAX_SIZE:  # the subtree is levels[v:end]
+            key = bytes([x - d for x in levels[v:end]])
+            if key in memo:
+                _merge_up(stack[-1], *memo[key])
+                v = end
+                continue
+        stack.append([d, _ALONE, key, best if key is None else [0] * (end - v + 1)])
+        v += 1
+
+
+def _merge_up(parent: list, under: tuple, inside) -> None:
+    """Merge a closed subtree's two rows into its parent's stack entry."""
+    rows = parent[1]
+    grown = [row + [_NONE] * len(under) for row in rows]
+    sub = list(enumerate(under, 1))
+    for c, row in enumerate(rows):
+        out = grown[min(c + 1, 2)]
+        for s, a in enumerate(row):
+            if a >= 0:
+                for k, b in sub:
+                    if a + b > out[s + k]:
+                        out[s + k] = a + b
+    parent[1] = grown
+    target = parent[3]
+    if inside is not target:
+        for s, x in enumerate(inside):
+            if x > target[s]:
+                target[s] = x
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +291,29 @@ FREE_TREE_MAX_N = 14
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
     """One tree per isomorphism class on n vertices, numbered in preorder."""
-    for parent in _free_tree_parents(n):
-        yield Graph(n, frozenset((p, v) for v, p in enumerate(parent) if v))
+    for levels in _free_tree_levels(n):
+        last = [0] * n  # level -> latest vertex on it, the parent of the next one below
+        edges = []
+        for v, d in enumerate(levels[1:], 1):
+            last[d] = v
+            edges.append((last[d - 1], v))
+        yield Graph(n, frozenset(edges))
 
 
-def _free_tree_parents(n: int) -> Iterator[list[int]]:
-    """The free trees on n vertices as preorder parent arrays (parent[0] is
-    -1): the canonical level sequences of Wright, Richmond, Odlyzko and
-    McKay, "Constant time generation of free trees" (SIAM J. Comput., 1986),
-    rooted at a center, in decreasing order."""
+def _free_tree_levels(n: int) -> Iterator[list[int]]:
+    """The free trees on n vertices as preorder level sequences: the
+    canonical ones of Wright, Richmond, Odlyzko and McKay, "Constant time
+    generation of free trees" (SIAM J. Comput., 1986), rooted at a center, in
+    decreasing order."""
     check_range("n", n, 1, FREE_TREE_MAX_N)
     if n == 1:
-        yield [-1]
+        yield [0]
         return
     # the path, rooted at its center
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         levels = _next_free_tree(levels)
-        last = {}  # level -> latest vertex on it, the parent of the next one below
-        parent = []
-        for v, d in enumerate(levels):
-            parent.append(last[d - 1] if d else -1)
-            last[d] = v
-        yield parent
+        yield levels
         levels = _next_rooted_tree(levels)
 
 

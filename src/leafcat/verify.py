@@ -13,7 +13,7 @@ from itertools import chain, combinations, groupby, product
 from . import catseq, words
 from .bounds import check_range
 from .leafwords import delta_leaf_word
-from .subtrees import _free_tree_parents, _leaf_function_rooted
+from .subtrees import _free_tree_levels, _leaf_function_levels
 
 
 @dataclass
@@ -255,20 +255,22 @@ SMALLEST_NON_PN_TREE_WORD = "1101011011"
 TREES_MIN_N, TREES_MAX_N = 3, 13
 
 
-def _normal_tree(n: int, parent: list[int]):
-    w = _leaf_word(_leaf_function_rooted(parent))
-    if not words.is_prefix_normal(w):
-        yield f"n={n} word={w}"
-
-
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     check_range("max_n", max_n, TREES_MIN_N, TREES_MAX_N)
-    # the generator's parent arrays go straight to the tree DP
-    trees = ((n, p) for n in range(3, min(max_n, 12) + 1) for p in _free_tree_parents(n))
-    reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), trees, _normal_tree)]
+    # the generator's level sequences go straight to the tree DP, and every
+    # tree of the census shares the DP's memo of rooted subtrees
+    memo = {}
+
+    def normal(levels):
+        w = _leaf_word(_leaf_function_levels(levels, memo))
+        if not words.is_prefix_normal(w):
+            yield f"n={len(levels)} word={w}"
+
+    trees = (lv for n in range(3, min(max_n, 12) + 1) for lv in _free_tree_levels(n))
+    reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), zip(trees), normal)]
     if max_n >= 13:
         report = _claim("smallest-non-prefix-normal-tree", 13,
-                        ((13, p) for p in _free_tree_parents(13)), _normal_tree)
+                        zip(_free_tree_levels(13)), normal)
         found = sorted({f.removeprefix("n=13 word=") for f in report.failures})
         report.failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
                            else [f"non-prefix-normal words at n=13: {found}"])

@@ -42,7 +42,8 @@ def test_generate_dot(capsys):
 
 def test_generate_dot_rejects_bad_highlight(capsys):
     for highlight, message in (("0,3", "vertex=3 outside 0..2"), ("-1", "vertex=-1 outside 0..2"),
-                               ("0,x", "vertex 'x' "), ("0,,1", "vertex '' ")):
+                               ("0,x", "vertex='x' is not an integer"),
+                               ("0,,1", "vertex='' is not an integer")):
         code, out, err = run(capsys, "generate", "--family", "chain", "--param", "3",
                              "--dot", "--highlight", highlight)
         assert code == 2 and out == ""
@@ -55,6 +56,17 @@ def test_generate_highlight_needs_dot(capsys):
                              "--highlight", highlight)
         assert code == 2 and out == ""
         assert "--highlight needs --dot" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--family", "chain", "--param", "x"], "--param='x' is not an integer"),
+    (["leaf-word", "--family", "star", "--param", "2.5"], "--param='2.5' is not an integer"),
+    (["realize", "0,0,x"], "L(2)='x' is not an integer"),
+    (["realize", "0,,1"], "L(1)='' is not an integer"),
+], ids=["generate-param", "leaf-word-param", "realize-entry", "realize-empty-entry"])
+def test_non_integer_argument_exits_2(capsys, argv, message):
+    # the flag or entry and its value, not Python's own int() message
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_leaf_function_wheel(capsys):

@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from leafcat import subtrees
-from leafcat.catseq import all_sequences
-from leafcat.graph import Graph, caterpillar_graph, chain, fk_tree, star, wheel
+from leafcat.catseq import all_sequences, leaf_function_caterpillar
+from leafcat.graph import (
+    GRAPH_MAX_N,
+    STAR_MAX_M,
+    Graph,
+    caterpillar_graph,
+    chain,
+    fk_tree,
+    star,
+    wheel,
+)
 from leafcat.subtrees import (
     NEG_INF,
     LeafFunction,
@@ -102,37 +111,70 @@ def test_enumerate_subtrees_wheel4_size5():
     )
 
 
+def _subset_leaves(g: Graph, vs) -> int | None:
+    """The leaf count of G[vs] if it is a tree (the empty set included), else
+    None: read off the subset by hand, as an oracle for the enumeration."""
+    inside = set(vs)
+    degree = {v: sum(u in inside for u in g.adj[v]) for v in vs}
+    if vs and sum(degree.values()) != 2 * (len(vs) - 1):
+        return None
+    seen, frontier = set(vs[:1]), list(vs[:1])
+    while frontier:
+        for u in g.adj[frontier.pop()]:
+            if u in inside and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return sum(d == 1 for d in degree.values()) if len(seen) == len(vs) else None
+
+
+def _naive_leaf_function(g: Graph) -> LeafFunction:
+    """L_G from the definition: the best of every vertex subset of each size."""
+    best = [0] + [NEG_INF] * g.n
+    for i in range(1, g.n + 1):
+        for vs in itertools.combinations(range(g.n), i):
+            leaves = _subset_leaves(g, vs)
+            if leaves is not None and (best[i] is NEG_INF or leaves > best[i]):
+                best[i] = leaves
+    return LeafFunction(g.n, tuple(best))
+
+
 def test_enumeration_matches_subset_scan():
     # independent oracle: scan all vertex subsets
     graphs = [wheel(4), chain(5), caterpillar_graph((2, 0, 1)),
               Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])]
     for g in graphs:
         for i in range(g.n + 1):
-            expected = []
-            for sub in itertools.combinations(range(g.n), i):
-                ss = set(sub)
-                edges = [(u, v) for u, v in g.edges if u in ss and v in ss]
-                if len(edges) != i - 1 and i > 0:
-                    continue
-                if i == 0:
-                    expected.append(sub)
-                    continue
-                # connectivity
-                seen = {sub[0]}
-                frontier = [sub[0]]
-                adj = {v: set() for v in sub}
-                for u, v in edges:
-                    adj[u].add(v)
-                    adj[v].add(u)
-                while frontier:
-                    u = frontier.pop()
-                    for v in adj[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            frontier.append(v)
-                if len(seen) == i:
-                    expected.append(sub)
+            expected = [vs for vs in itertools.combinations(range(g.n), i)
+                        if _subset_leaves(g, vs) is not None]
             assert sorted(enumerate_induced_subtrees(g, i)) == sorted(expected)
+
+
+@st.composite
+def random_graphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, c in zip(pairs, chosen) if c])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_bruteforce_matches_subset_oracle_on_random_graphs(g):
+    assert leaf_function_bruteforce(g) == _naive_leaf_function(g), sorted(g.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(), st.data())
+def test_witness_is_fully_leafed_on_random_graphs(g, data):
+    i = data.draw(st.integers(0, g.n))
+    best = leaf_function_bruteforce(g).values[i]
+    witness = fully_leafed_witness(g, i)
+    if best is NEG_INF:
+        assert witness is None
+    else:
+        # i distinct vertices inducing a tree with L(i) leaves
+        assert len(set(witness)) == len(witness) == i
+        assert _subset_leaves(g, witness) == best
 
 
 def test_witness_chain3():
@@ -340,8 +382,8 @@ def test_tree_dp_matches_bruteforce_on_families():
 
 
 @st.composite
-def random_trees(draw):
-    n = draw(st.integers(2, 12))
+def random_trees(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
     seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return _prufer_tree(n, seq, draw(st.permutations(range(n))))
 
@@ -353,12 +395,67 @@ def test_tree_dp_matches_bruteforce_on_random_trees(t):
 
 
 def test_census_path_matches_tree_dp():
-    # the census runs the DP on the generator's parent arrays; the public
-    # entry roots each generated Graph again by breadth-first search
+    # the census runs the DP on the generator's level sequences; the public
+    # entry numbers each generated Graph again by depth-first search
     for n in range(1, 14):
-        for parent, t in zip(subtrees._free_tree_parents(n), enumerate_free_trees(n), strict=True):
-            assert all(parent[v] < v for v in range(1, n))
-            assert subtrees._leaf_function_rooted(parent) == leaf_function_tree(t), sorted(t.edges)
+        for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
+            assert levels[0] == 0 and all(1 <= levels[v] <= levels[v - 1] + 1 for v in range(1, n))
+            assert subtrees._leaf_function_levels(levels, {}) == leaf_function_tree(t), sorted(t.edges)
+
+
+def test_census_memo_matches_bruteforce():
+    # one memo across n = 3..11, shared as the census shares it, so later
+    # trees hit the rooted subtrees of earlier ones
+    memo = {}
+    for n in range(3, 12):
+        for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
+            lf = subtrees._leaf_function_levels(levels, memo)
+            assert lf == leaf_function_bruteforce(t), sorted(t.edges)
+    # a key is a subtree's shape: its level sequence read from its own root,
+    # so one entry serves the subtree at every depth
+    assert memo
+    for key in memo:
+        assert 1 <= len(key) <= subtrees._MEMO_MAX_SIZE and key[0] == 0
+        assert all(1 <= key[i] <= key[i - 1] + 1 for i in range(1, len(key)))
+
+
+# one memo across every example, as the census shares one across its trees
+_SHARED_MEMO = {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees(max_n=14))
+def test_shared_memo_matches_bruteforce_on_random_trees(t):
+    lf = subtrees._leaf_function_levels(subtrees._preorder_levels(t), _SHARED_MEMO)
+    assert lf == leaf_function_bruteforce(t), sorted(t.edges)
+
+
+@st.composite
+def caterpillar_sequences(draw, max_size=40):
+    """A sequence of size at most max_size: a spine of k vertices, each
+    end carrying a leaf, and the other leaves placed along it at random."""
+    k = draw(st.integers(1, max_size // 2))
+    placed = draw(st.lists(st.integers(0, k - 1), max_size=max_size - k - 2))
+    s = [placed.count(i) for i in range(k)]
+    s[0] += 1
+    s[-1] += 1
+    return tuple(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(caterpillar_sequences())
+def test_caterpillar_formula_matches_tree_dp(s):
+    assert leaf_function_caterpillar(s) == leaf_function_tree(caterpillar_graph(s)), s
+
+
+def test_tree_dp_on_the_largest_chain_and_star():
+    # the DP walks its tree without recursion: the chain, numbered from an
+    # end, is GRAPH_MAX_N - 1 levels deep
+    n = GRAPH_MAX_N
+    assert leaf_function_tree(chain(n)).values == (0, 0) + (2,) * (n - 1)
+    # the star's sets of i >= 3 vertices hold its centre and i - 1 leaves
+    m = STAR_MAX_M
+    assert leaf_function_tree(star(m)).values == (0, 0, 2) + tuple(range(2, m + 1))
 
 
 def test_tree_dp_memory_is_linear():

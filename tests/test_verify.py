@@ -24,7 +24,7 @@ def no_enumeration(monkeypatch):
 
     monkeypatch.setattr(verify.catseq, "all_sequences", started)
     monkeypatch.setattr(verify, "_all_words", started)
-    monkeypatch.setattr(verify, "_free_tree_parents", started)
+    monkeypatch.setattr(verify, "_free_tree_levels", started)
     for suite in verify.SUITES:
         monkeypatch.setattr(verify, f"suite_{suite.replace('-', '_')}", started)
 
@@ -180,13 +180,13 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     # the first tree on 5 and on 13 vertices read 01 and 0100000000
     broken = {5: (0, 0, 2, 2, 2, 3), 13: (0, 0, 2, 2, 2) + (3,) * 9}
 
-    def leaf_function(parent):
-        n = len(parent)
+    def leaf_function(levels, memo):
+        n = len(levels)
         if n in broken:
             return LeafFunction(n, broken.pop(n))
-        return subtrees._leaf_function_rooted(parent)
+        return subtrees._leaf_function_levels(levels, memo)
 
-    monkeypatch.setattr(verify, "_leaf_function_rooted", leaf_function)
+    monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
     small, smallest = verify.suite_trees(13)
     assert not broken
     assert (small.claim, small.instances, small.failures) == (
