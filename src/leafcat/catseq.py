@@ -14,7 +14,6 @@ from itertools import product
 from operator import le
 
 from .bounds import check_range
-from .subtrees import LeafFunction
 from .words import WORD_MAX_LEN
 
 CatSeq = tuple  # tuple[int, ...]
@@ -145,6 +144,7 @@ def word_of(s: CatSeq) -> str:
 
 def leaf_function_caterpillar(s: CatSeq) -> LeafFunction:
     """Leaf function of the caterpillar of s: L(i) = F1(word_of(s), i-3) + 2."""
+    from .subtrees import LeafFunction
     from .words import f1_profile
 
     w = word_of(s)

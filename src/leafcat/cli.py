@@ -2,48 +2,37 @@
 
 Exit codes: 0 on success / true, 1 on false / rejection / failed claims,
 2 on usage or parse errors.
+
+A cold invocation loads only what its command uses: the word commands need
+`words` and `catseq`, and `graph`, `subtrees`, `leafwords`, `verify` and
+`json` are imported by the commands (and the help) that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from . import catseq, graph, verify, words
+from . import catseq, words
 from .bounds import check_range
-from .leafwords import (
-    Rejection,
-    delta_leaf_word,
-    format_leaf_word,
-    leaf_equivalent,
-    realize_caterpillar,
-)
-from .subtrees import (
-    BRUTEFORCE_MAX_N,
-    DEFAULT_MAX_N,
-    NEG_INF,
-    LeafFunction,
-    leaf_function_bruteforce,
-    leaf_function_tree,
-)
 
 # family -> the name of its generator in `graph`, looked up when called
 GENERATORS = {"wheel": "wheel", "star": "star", "chain": "chain", "fk": "fk_tree"}
 FAMILIES = (*GENERATORS, "caterpillar")
-PARAM_HELP = (f"family parameter: wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.STAR_MAX_M}, "
-              f"chain 1..{graph.CHAIN_MAX_N}, fk 1..{graph.FK_MAX_K}, or a caterpillar "
-              f"sequence of size 3..{graph.GRAPH_MAX_N}")
 
 
-def _build_family(family: str, param: str) -> graph.Graph:
+def _build_family(family: str, param: str):
+    from . import graph
+
     if family == "caterpillar":
         return graph.caterpillar_graph(catseq.parse_sequence(param))
     return getattr(graph, GENERATORS[family])(_integer("--param", param))
 
 
-def _input_leaf_function(args) -> LeafFunction:
+def _input_leaf_function(args):
+    from . import graph
+    from .subtrees import BRUTEFORCE_MAX_N, leaf_function_bruteforce, leaf_function_tree
+
     check_range("max_n", args.max_n, 0, BRUTEFORCE_MAX_N)
     if args.caterpillar:
         return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
@@ -52,7 +41,8 @@ def _input_leaf_function(args) -> LeafFunction:
             raise ValueError("--family requires --param")
         g = _build_family(args.family, args.param)
     elif args.graph_file:
-        g = graph.read_edge_list(Path(args.graph_file).read_text())
+        with open(args.graph_file) as fh:
+            g = graph.read_edge_list(fh.read())
     else:
         raise ValueError("no graph input given")
     if graph.is_tree(g):
@@ -78,33 +68,69 @@ def _word_arg(args) -> str:
     return args.word
 
 
-def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
+class _Command(argparse.ArgumentParser):
+    """A command's parser.  Given `add_arguments`, it adds its arguments when
+    the command is parsed, so the module whose caps its help prints is loaded
+    for that command only."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def _param_help() -> str:
+    from . import graph
+
+    return (f"family parameter: wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.STAR_MAX_M}, "
+            f"chain 1..{graph.CHAIN_MAX_N}, fk 1..{graph.FK_MAX_K}, or a caterpillar "
+            f"sequence of size 3..{graph.GRAPH_MAX_N}")
+
+
+def _generate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--param", required=True, help=_param_help())
+    p.add_argument("--dot", action="store_true", help="emit DOT instead")
+    p.add_argument("--highlight", help="comma-separated vertices to color blue")
+
+
+def _graph_input_args(p: argparse.ArgumentParser) -> None:
+    from .subtrees import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
+
     p.add_argument("graph_file", nargs="?", help="edge-list file ('n m' header)")
     p.add_argument("--caterpillar", help=f"caterpillar sequence of size "
                    f"3..{words.WORD_MAX_LEN + 3}, e.g. 3,0,2,4,0,1")
     p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--param", help=PARAM_HELP)
+    p.add_argument("--param", help=_param_help())
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                    help=f"brute-force bound 0..{BRUTEFORCE_MAX_N} on a graph that is not a "
                         f"tree (default {DEFAULT_MAX_N}); a tree takes the tree DP instead")
 
 
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    from . import verify
+
+    p.add_argument("--suite", default="all",
+                   choices=("all",) + verify.SUITES + tuple(verify.SUITE_ALIASES))
+    p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
+        f"{name} {low}..{high}" for name, (low, high) in verify.SUITE_BOUNDS.items()))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="leafcat")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Command)
 
-    p = sub.add_parser("generate", help="emit a family graph as an edge list")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--param", required=True, help=PARAM_HELP)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead")
-    p.add_argument("--highlight", help="comma-separated vertices to color blue")
-
-    p = sub.add_parser("leaf-function", help="leaf function of a graph")
-    _add_graph_inputs(p)
-
-    p = sub.add_parser("leaf-word", help="leaf word of a graph")
-    _add_graph_inputs(p)
+    sub.add_parser("generate", help="emit a family graph as an edge list",
+                   add_arguments=_generate_args)
+    sub.add_parser("leaf-function", help="leaf function of a graph",
+                   add_arguments=_graph_input_args)
+    sub.add_parser("leaf-word", help="leaf word of a graph", add_arguments=_graph_input_args)
 
     for name in ("rc", "pnf"):
         p = sub.add_parser(name)
@@ -131,16 +157,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest sequence size, 0..{catseq.HASSE_MAX_SIZE} (default 6)")
     p.add_argument("--dot", action="store_true")
 
-    p = sub.add_parser("verify", help="run exhaustive verification suites")
-    p.add_argument("--suite", default="all", choices=("all",) + verify.SUITES + tuple(verify.SUITE_ALIASES))
-    p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
-        f"{name} {low}..{high}" for name, (low, high) in verify.SUITE_BOUNDS.items()))
+    sub.add_parser("verify", help="run exhaustive verification suites", add_arguments=_verify_args)
 
     return ap
 
 
+def _show(args, data, text: str) -> None:
+    """Print `data` as JSON under --json, else `text`."""
+    if args.json:
+        import json
+
+        text = json.dumps(data)
+    print(text)
+
+
 def _run(args) -> int:
     if args.command == "generate":
+        from . import graph
+
         if args.highlight is not None and not args.dot:
             raise ValueError("--highlight needs --dot")
         g = _build_family(args.family, args.param)
@@ -158,27 +192,25 @@ def _run(args) -> int:
         return 0
 
     if args.command == "leaf-word":
-        lw = delta_leaf_word(_input_leaf_function(args))
-        if args.json:
-            print(json.dumps({"leaf_word": format_leaf_word(lw)}))
-        else:
-            print(format_leaf_word(lw))
+        from .leafwords import delta_leaf_word, format_leaf_word
+
+        lw = format_leaf_word(delta_leaf_word(_input_leaf_function(args)))
+        _show(args, {"leaf_word": lw}, lw)
         return 0
 
     if args.command == "rc":
-        s = words.rc(_word_arg(args))
-        print(json.dumps({"sequence": catseq.format_sequence(s)}) if args.json
-              else catseq.format_sequence(s))
+        s = catseq.format_sequence(words.rc(_word_arg(args)))
+        _show(args, {"sequence": s}, s)
         return 0
 
     if args.command == "word-of":
         w = catseq.word_of(catseq.parse_sequence(args.sequence))
-        print(json.dumps({"word": w}) if args.json else w)
+        _show(args, {"word": w}, w)
         return 0
 
     if args.command == "pnf":
         v = words.pnf(_word_arg(args))
-        print(json.dumps({"word": v}) if args.json else v)
+        _show(args, {"word": v}, v)
         return 0
 
     if args.command == "check-pn":
@@ -186,31 +218,27 @@ def _run(args) -> int:
         if args.k == 0:
             wit = words.pn_violation(w)
             ok = wit is None
-            if args.json:
-                print(json.dumps({"prefix_normal": ok,
-                                  "witness": list(wit) if wit else None}))
-            elif ok:
-                print("prefix normal")
-            else:
-                print(f"not prefix normal: prefix {wit[0]} has fewer 1s than factor {wit[1]}")
+            _show(args, {"prefix_normal": ok, "witness": list(wit) if wit else None},
+                  "prefix normal" if ok else
+                  f"not prefix normal: prefix {wit[0]} has fewer 1s than factor {wit[1]}")
         else:
             ok = words.is_k_prefix_normal(w, args.k)
-            if args.json:
-                print(json.dumps({"k": args.k, "k_prefix_normal": ok}))
-            else:
-                print(f"{'' if ok else 'not '}{args.k}-prefix normal")
+            _show(args, {"k": args.k, "k_prefix_normal": ok},
+                  f"{'' if ok else 'not '}{args.k}-prefix normal")
         return 0 if ok else 1
 
     if args.command == "equiv":
+        from .leafwords import leaf_equivalent
+
         ok = words.equivalent(args.word1, args.word2)
-        same_lf = leaf_equivalent(args.word1, args.word2)
-        if args.json:
-            print(json.dumps({"equivalent": ok, "leaf_equivalent": same_lf}))
-        else:
-            print("equivalent" if ok else "not equivalent")
+        _show(args, {"equivalent": ok, "leaf_equivalent": leaf_equivalent(args.word1, args.word2)},
+              "equivalent" if ok else "not equivalent")
         return 0 if ok else 1
 
     if args.command == "realize":
+        from .leafwords import Rejection, realize_caterpillar
+        from .subtrees import NEG_INF, LeafFunction
+
         parts = enumerate(p.strip() for p in args.values.split(","))
         vals = tuple(NEG_INF if p == "-inf" else _integer(f"L({i})", p) for i, p in parts)
         try:
@@ -220,14 +248,12 @@ def _run(args) -> int:
             return 1
         result = realize_caterpillar(lf)
         if isinstance(result, Rejection):
-            if args.json:
-                print(json.dumps({"realizable": False, "reason": result.reason,
-                                  "witness": list(result.witness) if result.witness else None}))
-            else:
-                print(f"rejected: {result.message()}")
+            _show(args, {"realizable": False, "reason": result.reason,
+                         "witness": list(result.witness) if result.witness else None},
+                  f"rejected: {result.message()}")
             return 1
         out = catseq.format_sequence(result)
-        print(json.dumps({"realizable": True, "sequence": out}) if args.json else out)
+        _show(args, {"realizable": True, "sequence": out}, out)
         return 0
 
     if args.command == "poset":
@@ -239,12 +265,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        reports = verify.run_suite(args.suite, args.max_n)
-        if args.json:
-            print(json.dumps([r.to_dict() for r in reports]))
-        else:
-            for r in reports:
-                print(r.line())
+        from .verify import run_suite
+
+        reports = run_suite(args.suite, args.max_n)
+        _show(args, [r.to_dict() for r in reports], "\n".join(r.line() for r in reports))
         return 0 if all(r.passed for r in reports) else 1
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -6,7 +6,6 @@ Vertices are dense integers 0..n-1.  Edges are stored canonically as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -17,22 +16,38 @@ from .bounds import check_range
 GRAPH_MAX_N = 1000
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1, with n <= GRAPH_MAX_N."""
+    """Immutable simple graph on vertices 0..n-1, with n <= GRAPH_MAX_N.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    Graphs are equal, and hash alike, when their n and edge sets are."""
 
-    def __post_init__(self):
-        check_range("n", self.n, 0, GRAPH_MAX_N)
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        check_range("n", n, 0, GRAPH_MAX_N)
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not canonical (min,max)")
-            check_range("vertex", u, 0, self.n - 1)
-            check_range("vertex", v, 0, self.n - 1)
+            check_range("vertex", u, 0, n - 1)
+            check_range("vertex", v, 0, n - 1)
+        self.__dict__.update(n=n, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -6,8 +6,6 @@ marks differences involving an absent value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catseq import leaf_function_caterpillar
 from .subtrees import NEG_INF, LeafFunction, Sentinel
 from .words import pn_violation, prefix_ones, rc
@@ -63,12 +61,31 @@ def classify_leaf_word(lw: LeafWord) -> str:
     return NON_TREE if non_tree else TREE_COMPATIBLE
 
 
-@dataclass(frozen=True)
 class Rejection:
-    """Machine-readable reason a leaf function is not caterpillar-realizable."""
+    """Machine-readable reason a leaf function is not caterpillar-realizable.
 
-    reason: str  # bad-size | bad-prefix | bad-alphabet | not-prefix-normal
-    witness: tuple[str, str] | None = None
+    Immutable; equal, and hashed alike, when reason and witness are."""
+
+    def __init__(self, reason: str, witness: tuple[str, str] | None = None):
+        # reason: bad-size | bad-prefix | bad-alphabet | not-prefix-normal
+        self.__dict__.update(reason=reason, witness=witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.reason == other.reason and self.witness == other.witness
+
+    def __hash__(self):
+        return hash((self.reason, self.witness))
+
+    def __repr__(self):
+        return f"Rejection(reason={self.reason!r}, witness={self.witness!r})"
 
     def message(self) -> str:
         if self.witness is not None:

@@ -8,12 +8,12 @@ bitmasks internally.  It stays the oracle for the tree DP.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .bounds import check_range
-from .graph import Graph
+
+if TYPE_CHECKING:  # a leaf function of a caterpillar or a word needs no Graph
+    from .graph import Graph
 
 # brute force's default size bound, and the ceiling of that bound
 DEFAULT_MAX_N = 20
@@ -45,35 +45,55 @@ class Sentinel:
 NEG_INF = Sentinel("-inf")
 
 
-@dataclass(frozen=True)
 class LeafFunction:
-    """Values of L_G: max leaves over induced subtrees of each size 0..n."""
+    """Values of L_G: max leaves over induced subtrees of each size 0..n.
 
-    n: int
-    values: tuple
+    Immutable; equal, and hashed alike, when n and the values are."""
 
-    def __post_init__(self):
-        if len(self.values) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} values, got {len(self.values)}")
-        if self.values[0] != 0:
+    def __init__(self, n: int, values: tuple):
+        if len(values) != n + 1:
+            raise ValueError(f"expected {n + 1} values, got {len(values)}")
+        if values[0] != 0:
             raise ValueError("L(0) must be 0")
-        if self.n >= 1 and self.values[1] != 0:
+        if n >= 1 and values[1] != 0:
             raise ValueError("L(1) must be 0")
         seen_inf = False
-        for v in self.values[1:]:
+        for v in values[1:]:
             if v is NEG_INF:
                 seen_inf = True
             elif seen_inf:
                 raise ValueError("-inf entries must form a suffix")
             elif not isinstance(v, int) or v < 0:
                 raise ValueError(f"bad leaf-function value {v!r}")
+        self.__dict__.update(n=n, values=values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.n, self.values))
+
+    def __repr__(self):
+        return f"LeafFunction(n={self.n!r}, values={self.values!r})"
 
     def to_json(self) -> str:
+        import json
+
         vals = ["-inf" if v is NEG_INF else v for v in self.values]
         return json.dumps({"n": self.n, "values": vals})
 
     @staticmethod
     def from_json(text: str) -> "LeafFunction":
+        import json
+
         data = json.loads(text)
         vals = tuple(NEG_INF if v == "-inf" else int(v) for v in data["values"])
         return LeafFunction(int(data["n"]), vals)
@@ -291,6 +311,8 @@ FREE_TREE_MAX_N = 14
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
     """One tree per isomorphism class on n vertices, numbered in preorder."""
+    from .graph import Graph
+
     for levels in _free_tree_levels(n):
         last = [0] * n  # level -> latest vertex on it, the parent of the next one below
         edges = []

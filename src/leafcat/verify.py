@@ -7,7 +7,6 @@ a claim passes iff the failure list is empty.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
@@ -16,14 +15,28 @@ from .leafwords import delta_leaf_word
 from .subtrees import _free_tree_levels, _leaf_function_levels
 
 
-@dataclass
 class VerifyReport:
-    claim: str
-    bound: int
-    instances: int
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0
-    notes: str = ""
+    """One claim's outcome: its bound, instance count, failures and time."""
+
+    def __init__(self, claim: str, bound: int, instances: int, failures: list[str] | None = None,
+                 seconds: float = 0.0, notes: str = ""):
+        self.claim, self.bound, self.instances = claim, bound, instances
+        self.failures = [] if failures is None else failures
+        self.seconds, self.notes = seconds, notes
+
+    def to_dict(self) -> dict:
+        return {"claim": self.claim, "bound": self.bound, "instances": self.instances,
+                "failures": list(self.failures), "seconds": self.seconds, "notes": self.notes}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None  # mutable: the trees suite rewrites its last report
+
+    def __repr__(self):
+        return "VerifyReport(" + ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items()) + ")"
 
     @property
     def passed(self) -> bool:
@@ -41,9 +54,6 @@ class VerifyReport:
         for f in self.failures[:10]:
             out += f"\n  counterexample: {f}"
         return out
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _all_words(max_len: int) -> list[str]:

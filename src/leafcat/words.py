@@ -75,13 +75,17 @@ def pn_violation(w: str):
     return None
 
 
+# the largest k of is_k_prefix_normal; no factor of a word of at most
+# WORD_MAX_LEN letters has more ones than that
+K_MAX = WORD_MAX_LEN
+
+
 def is_k_prefix_normal(w: str, k: int) -> bool:
     """True iff every factor exceeds its equal-length prefix by at most k ones.
 
     The empty prefix (length 0) is included; it is vacuously satisfied.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_range("k", k, 0, K_MAX)
     pre = prefix_ones(w)
     return all(f - p <= k for f, p in zip(_f1s(pre), pre))
 

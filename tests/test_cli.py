@@ -11,7 +11,7 @@ import leafcat
 from leafcat import catseq, graph, verify, words
 from leafcat.cli import main
 from leafcat.graph import read_edge_list, wheel, write_edge_list
-from leafcat.subtrees import BRUTEFORCE_MAX_N
+from leafcat.subtrees import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
 
 
 def run(capsys, *argv):
@@ -125,7 +125,7 @@ def test_tree_output_matches_brute_force(tmp_path, capsys, monkeypatch):
     commands = [[*flag, command, *given] for given in inputs
                 for command in ("leaf-function", "leaf-word") for flag in ([], ["--json"])]
     via_dp = [run(capsys, *argv) for argv in commands]
-    monkeypatch.setattr("leafcat.cli.graph.is_tree", lambda g: False)
+    monkeypatch.setattr("leafcat.graph.is_tree", lambda g: False)
     assert via_dp == [run(capsys, *argv) for argv in commands]
     assert all(code == 0 and out and err == "" for code, out, err in via_dp)
 
@@ -273,14 +273,25 @@ def _checkout_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# what a cold `leafcat rc` never loads: the word commands need neither
+# leafwords nor json, and no module of the program needs dataclasses,
+# inspect (which dataclasses imports) or networkx
+NOT_LOADED_BY_RC = ("networkx", "dataclasses", "inspect", "json", "leafcat.leafwords")
+
+
 def test_cold_start_leaves_networkx_unloaded():
     # the program never imports networkx, not even to enumerate free trees
     script = (
         "import sys\n"
+        "import leafcat\n"
+        "assert not [m for m in sys.modules if m.startswith('leafcat.')], 'package'\n"
         "import leafcat.cli\n"
         "assert 'networkx' not in sys.modules, 'import'\n"
         "leafcat.cli.main(['rc', '0101'])\n"
-        "assert 'networkx' not in sys.modules, 'rc'\n"
+        f"loaded = [m for m in {NOT_LOADED_BY_RC!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "leafcat.cli.main(['--json', 'rc', '0101'])\n"
+        "leafcat.cli.main(['verify', '--suite', 'poset', '--max-n', '3'])\n"
         "from leafcat.subtrees import enumerate_free_trees\n"
         "assert len(list(enumerate_free_trees(4))) == 2\n"
         "assert 'networkx' not in sys.modules, 'free trees'\n"
@@ -289,7 +300,13 @@ def test_cold_start_leaves_networkx_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1,1,2"
+    # the outputs of the commands run after the lazy imports
+    assert re.sub(r"time=\d+\.\d\ds", "time=", proc.stdout) == (
+        "1,1,2\n"
+        '{"sequence": "1,1,2"}\n'
+        "PASS poset-reflexivity bound=3 instances=1 failures=0 time=\n"
+        "PASS poset-antisymmetry bound=3 instances=0 failures=0 time=\n"
+        "PASS poset-transitivity bound=3 instances=1 failures=0 time=\n")
 
 
 def test_python_m_leafcat():
@@ -300,6 +317,32 @@ def test_python_m_leafcat():
     proc = subprocess.run([sys.executable, "-m", "leafcat", "poset", "--max-size", "13"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "outside 0..12" in proc.stderr
+
+
+def test_help_prints_the_caps(capsys, monkeypatch):
+    # wide enough that argparse wraps no help line, hyphenated names included
+    monkeypatch.setenv("COLUMNS", "1000")
+
+    def help_text(*argv):
+        code, out, err = run(capsys, *argv, "--help")
+        assert (code, err) == (0, "")
+        return out
+
+    suites = help_text("verify")
+    for suite, (low, high) in verify.SUITE_BOUNDS.items():
+        assert f"{suite} {low}..{high}" in suites
+    assert "{all," + ",".join([*verify.SUITES, *verify.SUITE_ALIASES]) + "}" in suites
+    params = (f"wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.STAR_MAX_M}, "
+              f"chain 1..{graph.CHAIN_MAX_N}, fk 1..{graph.FK_MAX_K}, or a caterpillar "
+              f"sequence of size 3..{graph.GRAPH_MAX_N}")
+    assert params in help_text("generate")
+    for command in ("leaf-function", "leaf-word"):
+        out = help_text(command)
+        assert params in out
+        assert f"brute-force bound 0..{BRUTEFORCE_MAX_N} " in out
+        assert f"(default {DEFAULT_MAX_N})" in out
+        assert f"caterpillar sequence of size 3..{words.WORD_MAX_LEN + 3}," in out
+    assert f"largest sequence size, 0..{catseq.HASSE_MAX_SIZE} (default 6)" in help_text("poset")
 
 
 def test_python_m_leafcat_cli():
@@ -342,6 +385,8 @@ def _out_of_range():
     long_word = f"word length={cap + 1} outside 0..{cap}"
     cases += [(f"{command}-long-word", [command, "1" * (cap + 1)], long_word)
               for command in ("rc", "pnf", "check-pn")]
+    cases += [(f"check-pn-k-{value}", ["check-pn", "0101", "--k", str(value)],
+               f"k={value} outside 0..{words.K_MAX}") for value in (-1, words.K_MAX + 1)]
     # a caterpillar of size cap + 4 reads as a word of cap + 1 letters
     cases += [("word-of-long-word", ["word-of", str(cap + 3)], long_word),
               ("leaf-function-caterpillar-long-word",
@@ -359,9 +404,9 @@ def no_work(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    for target in ("leafcat.cli.leaf_function_bruteforce", "leafcat.cli.leaf_function_tree",
-                   "leafcat.words.f1_profile", "leafcat.words.rc",
-                   "leafcat.catseq.all_sequences"):
+    for target in ("leafcat.subtrees.leaf_function_bruteforce",
+                   "leafcat.subtrees.leaf_function_tree", "leafcat.words.f1_profile",
+                   "leafcat.words.rc", "leafcat.catseq.all_sequences"):
         monkeypatch.setattr(target, started)
     monkeypatch.setattr(graph.Graph, "from_edges", staticmethod(started))
     for suite in verify.SUITES:

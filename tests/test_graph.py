@@ -48,6 +48,8 @@ def test_graph_rejects_self_loops_and_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match=re.escape("edge (1,0) not canonical (min,max)")):
+        Graph(2, frozenset({(1, 0)}))
 
 
 def test_self_loop_rejected_by_graph():

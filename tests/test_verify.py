@@ -202,7 +202,7 @@ def test_tree_census_builds_no_graph(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("Graph built")
 
-    monkeypatch.setattr(subtrees, "Graph", built)
+    monkeypatch.setattr("leafcat.graph.Graph", built)
     with pytest.raises(AssertionError, match="Graph built"):
         next(subtrees.enumerate_free_trees(4))
     small, smallest = verify.run_suite("trees", 13)

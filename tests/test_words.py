@@ -107,6 +107,10 @@ def test_k_prefix_normal_examples():
     assert not wd.is_k_prefix_normal("1110010011100111", 1)
     for w in ["", "10110", "1101011011"]:
         assert wd.is_k_prefix_normal(w, len(w))
+    assert wd.is_k_prefix_normal("01", wd.K_MAX)
+    for k in (-1, wd.K_MAX + 1):
+        with pytest.raises(ValueError, match=f"^k={k} outside 0..{wd.K_MAX}$"):
+            wd.is_k_prefix_normal("01", k)
 
 
 def test_zero_prefix_normal_is_prefix_normal():
