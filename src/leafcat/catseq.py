@@ -10,11 +10,10 @@ loop over them; sequences it builds from checked ones are trusted.
 
 from __future__ import annotations
 
-from itertools import product
 from operator import le
 
 from .bounds import check_range
-from .words import WORD_MAX_LEN
+from .words import WORD_MAX_LEN, _binary_words, _rc
 
 CatSeq = tuple  # tuple[int, ...]
 
@@ -164,14 +163,8 @@ def all_sequences(max_size: int) -> list[CatSeq]:
     Sequences of size m are exactly the rc images of binary words of
     length m-3, so we enumerate words.
     """
-    from .words import rc
-
     check_range("max_size", max_size, 0, SEQUENCES_MAX_SIZE)
-    out = []
-    for length in range(max(0, max_size - 2)):
-        for bits in product("01", repeat=length):
-            out.append(rc("".join(bits)))
-    return out
+    return [_rc(w) for w in _binary_words(max_size - 3)]
 
 
 def hasse_covers(max_size: int) -> set[tuple[CatSeq, CatSeq]]:
@@ -215,15 +208,6 @@ def hasse_dot(max_size: int) -> str:
         lines.append(f'  "{format_sequence(lo)}" -> "{format_sequence(hi)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def canonical_sequence(s: CatSeq) -> CatSeq:
-    """Orientation-independent form: lexicographic min of s and its reversal.
-
-    Used only where caterpillar graphs (not sequences) are compared.
-    """
-    check_sequence(s)
-    return min(s, s[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,19 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .bounds import check_range
+from .bounds import Record, check_range
 
 # the most vertices of any graph; the tree DP is O(n^2) and takes about 0.5 s
 # on a 1,000-vertex chain (one core of a 2-vCPU VM)
 GRAPH_MAX_N = 1000
 
 
-class Graph:
+class Graph(Record):
     """Immutable simple graph on vertices 0..n-1, with n <= GRAPH_MAX_N.
 
     Graphs are equal, and hash alike, when their n and edge sets are."""
+
+    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
         check_range("n", n, 0, GRAPH_MAX_N)
@@ -30,24 +32,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) not canonical (min,max)")
             check_range("vertex", u, 0, n - 1)
             check_range("vertex", v, 0, n - 1)
-        self.__dict__.update(n=n, edges=edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+        super().__init__(n=n, edges=edges)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

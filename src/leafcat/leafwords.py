@@ -6,6 +6,7 @@ marks differences involving an absent value.
 
 from __future__ import annotations
 
+from .bounds import Record
 from .catseq import leaf_function_caterpillar
 from .subtrees import NEG_INF, LeafFunction, Sentinel
 from .words import pn_violation, prefix_ones, rc
@@ -61,31 +62,16 @@ def classify_leaf_word(lw: LeafWord) -> str:
     return NON_TREE if non_tree else TREE_COMPATIBLE
 
 
-class Rejection:
+class Rejection(Record):
     """Machine-readable reason a leaf function is not caterpillar-realizable.
 
     Immutable; equal, and hashed alike, when reason and witness are."""
 
+    _fields = ("reason", "witness")
+
     def __init__(self, reason: str, witness: tuple[str, str] | None = None):
         # reason: bad-size | bad-prefix | bad-alphabet | not-prefix-normal
-        self.__dict__.update(reason=reason, witness=witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.reason == other.reason and self.witness == other.witness
-
-    def __hash__(self):
-        return hash((self.reason, self.witness))
-
-    def __repr__(self):
-        return f"Rejection(reason={self.reason!r}, witness={self.witness!r})"
+        super().__init__(reason=reason, witness=witness)
 
     def message(self) -> str:
         if self.witness is not None:
@@ -104,7 +90,7 @@ def realize_caterpillar(lf: LeafFunction):
     lw = delta_leaf_word(lf)
     if classify_leaf_word(lw) != TREE_COMPATIBLE:
         return Rejection("bad-alphabet")
-    w = "".join(str(letter) for letter in lw)
+    w = format_leaf_word(lw)
     witness = pn_violation(w)
     if witness is not None:
         return Rejection("not-prefix-normal", witness)
@@ -124,8 +110,8 @@ def leaf_equivalent(w1: str, w2: str) -> bool:
 
 def format_leaf_word(lw: LeafWord) -> str:
     """Comma-separated letters with OMEGA as 'w'; binary words compact."""
-    if all(letter in (0, 1) for letter in lw):
-        return "".join(str(letter) for letter in lw)
+    if {0, 1}.issuperset(lw):
+        return "".join(["01"[letter] for letter in lw])
     return ",".join("w" if letter is OMEGA else str(letter) for letter in lw)
 
 

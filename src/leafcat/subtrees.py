@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .bounds import check_range
+from .bounds import Record, check_range
 
 if TYPE_CHECKING:  # a leaf function of a caterpillar or a word needs no Graph
     from .graph import Graph
@@ -45,10 +45,12 @@ class Sentinel:
 NEG_INF = Sentinel("-inf")
 
 
-class LeafFunction:
+class LeafFunction(Record):
     """Values of L_G: max leaves over induced subtrees of each size 0..n.
 
     Immutable; equal, and hashed alike, when n and the values are."""
+
+    _fields = ("n", "values")
 
     def __init__(self, n: int, values: tuple):
         if len(values) != n + 1:
@@ -65,24 +67,7 @@ class LeafFunction:
                 raise ValueError("-inf entries must form a suffix")
             elif not isinstance(v, int) or v < 0:
                 raise ValueError(f"bad leaf-function value {v!r}")
-        self.__dict__.update(n=n, values=values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.n, self.values))
-
-    def __repr__(self):
-        return f"LeafFunction(n={self.n!r}, values={self.values!r})"
+        super().__init__(n=n, values=values)
 
     def to_json(self) -> str:
         import json

@@ -1,42 +1,33 @@
 """Exhaustive verification suites over small instances.
 
 Each claim sweeps every instance up to its bound and records the failures;
-a claim passes iff the failure list is empty.
+a claim passes iff it records none.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import chain, combinations, groupby, product
+from itertools import chain, combinations, groupby
 
 from . import catseq, words
-from .bounds import check_range
-from .leafwords import delta_leaf_word
+from .bounds import Record, check_range
+from .leafwords import delta_leaf_word, format_leaf_word
 from .subtrees import _free_tree_levels, _leaf_function_levels
 
 
-class VerifyReport:
+class VerifyReport(Record):
     """One claim's outcome: its bound, instance count, failures and time."""
 
-    def __init__(self, claim: str, bound: int, instances: int, failures: list[str] | None = None,
-                 seconds: float = 0.0, notes: str = ""):
-        self.claim, self.bound, self.instances = claim, bound, instances
-        self.failures = [] if failures is None else failures
-        self.seconds, self.notes = seconds, notes
+    _fields = ("claim", "bound", "instances", "failures", "seconds", "notes")
+
+    def __init__(self, claim: str, bound: int, instances: int, failures=(), seconds: float = 0.0,
+                 notes: str = ""):
+        super().__init__(claim=claim, bound=bound, instances=instances, failures=tuple(failures),
+                         seconds=seconds, notes=notes)
 
     def to_dict(self) -> dict:
         return {"claim": self.claim, "bound": self.bound, "instances": self.instances,
                 "failures": list(self.failures), "seconds": self.seconds, "notes": self.notes}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    __hash__ = None  # mutable: the trees suite rewrites its last report
-
-    def __repr__(self):
-        return "VerifyReport(" + ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items()) + ")"
 
     @property
     def passed(self) -> bool:
@@ -57,10 +48,7 @@ class VerifyReport:
 
 
 def _all_words(max_len: int) -> list[str]:
-    out = []
-    for n in range(max_len + 1):
-        out += ["".join(bits) for bits in product("01", repeat=n)]
-    return out
+    return list(words._binary_words(max_len))
 
 
 def _claim(claim: str, bound: int, cases, law) -> VerifyReport:
@@ -74,10 +62,6 @@ def _claim(claim: str, bound: int, cases, law) -> VerifyReport:
     for instances, case in enumerate(cases, 1):
         failures.extend(law(*case))
     return VerifyReport(claim, bound, instances, failures, time.perf_counter() - start)
-
-
-def _leaf_word(lf) -> str:
-    return "".join(str(x) for x in delta_leaf_word(lf))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +205,11 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
     gen_bound = min(max_len, 10)
 
     def read_back(w):
-        if _leaf_word(catseq.leaf_function_caterpillar(words.rc(w))) != w:
+        if format_leaf_word(delta_leaf_word(catseq.leaf_function_caterpillar(words.rc(w)))) != w:
             yield w
 
     def to_normal_form(w):
-        dl = _leaf_word(catseq.leaf_function_caterpillar(words.rc(w)))
+        dl = format_leaf_word(delta_leaf_word(catseq.leaf_function_caterpillar(words.rc(w))))
         if dl != words.pnf(w) or not words.is_prefix_normal(dl):
             yield w
 
@@ -272,20 +256,19 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     memo = {}
 
     def normal(levels):
-        w = _leaf_word(_leaf_function_levels(levels, memo))
+        w = format_leaf_word(delta_leaf_word(_leaf_function_levels(levels, memo)))
         if not words.is_prefix_normal(w):
             yield f"n={len(levels)} word={w}"
 
     trees = (lv for n in range(3, min(max_n, 12) + 1) for lv in _free_tree_levels(n))
     reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), zip(trees), normal)]
     if max_n >= 13:
-        report = _claim("smallest-non-prefix-normal-tree", 13,
-                        zip(_free_tree_levels(13)), normal)
-        found = sorted({f.removeprefix("n=13 word=") for f in report.failures})
-        report.failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
-                           else [f"non-prefix-normal words at n=13: {found}"])
-        report.notes = "counterexample leaf words at n=13: " + ",".join(found)
-        reports.append(report)
+        scan = _claim("smallest-non-prefix-normal-tree", 13, zip(_free_tree_levels(13)), normal)
+        found = sorted({f.removeprefix("n=13 word=") for f in scan.failures})
+        failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
+                    else [f"non-prefix-normal words at n=13: {found}"])
+        reports.append(VerifyReport(scan.claim, scan.bound, scan.instances, failures, scan.seconds,
+                                    "counterexample leaf words at n=13: " + ",".join(found)))
     return reports
 
 

@@ -7,7 +7,7 @@ prefix sums of a word already checked and never check again.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import sub
 from typing import Iterator
 
@@ -105,6 +105,11 @@ def rc(w: str) -> tuple[int, ...]:
     """Reading caterpillar sequence: '0' starts a new spine vertex,
     '1' adds a leaf to the current one.  rc("") = (2)."""
     check_binary(w)
+    return _rc(w)
+
+
+def _rc(w: str) -> tuple[int, ...]:
+    """rc of a word already checked."""
     seq = [2]
     for c in w:
         if c == "0":
@@ -113,6 +118,14 @@ def rc(w: str) -> tuple[int, ...]:
         else:
             seq[-1] += 1
     return tuple(seq)
+
+
+def _binary_words(max_len: int) -> Iterator[str]:
+    """Every binary word of length at most max_len, shorter words first and
+    each length in lexicographic order; the caller bounds max_len."""
+    for n in range(max_len + 1):
+        for bits in product("01", repeat=n):
+            yield "".join(bits)
 
 
 def enumerate_pnw(n: int) -> Iterator[str]:

@@ -244,11 +244,6 @@ def test_hasse_dot():
     assert '"2" -> ' in dot
 
 
-def test_canonical_sequence():
-    assert cs.canonical_sequence((3, 0, 1)) == (1, 0, 3)
-    assert cs.canonical_sequence((1, 0, 3)) == (1, 0, 3)
-
-
 def test_parse_format_roundtrip():
     s = (3, 0, 2, 4, 0, 1)
     assert cs.parse_sequence(cs.format_sequence(s)) == s

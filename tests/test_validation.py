@@ -106,7 +106,6 @@ MALFORMED = [
     (cs.decompose, (BAD_SEQ, 3)),
     (cs.word_of, (BAD_SEQ,)),
     (cs.leaf_function_caterpillar, (BAD_SEQ,)),
-    (cs.canonical_sequence, (BAD_SEQ,)),
     (cs.parse_sequence, ("0,1",)),
     (lw.leaf_function_from_word, (BAD_WORD,)),
     (lw.leaf_equivalent, (BAD_WORD, "01")),

@@ -1,8 +1,12 @@
 """Value semantics of the package's record classes, and its public names."""
 
+import copy
+import pickle
+
 import pytest
 
 import leafcat
+from leafcat.bounds import Record
 from leafcat.graph import Graph
 from leafcat.leafwords import Rejection
 from leafcat.subtrees import NEG_INF, LeafFunction
@@ -16,8 +20,11 @@ VALUES = [
      LeafFunction(3, (0, 0, 2, 2)), "LeafFunction(n=3, values=(0, 0, 2, -inf))"),
     (Rejection("not-prefix-normal", ("01", "11")), Rejection("not-prefix-normal", ("01", "11")),
      Rejection("not-prefix-normal"), "Rejection(reason='not-prefix-normal', witness=('01', '11'))"),
+    (VerifyReport("c", 3, 4, ["x"], 0.5), VerifyReport("c", 3, 4, ("x",), 0.5),
+     VerifyReport("c", 3, 4, ["x"], 0.25),
+     "VerifyReport(claim='c', bound=3, instances=4, failures=('x',), seconds=0.5, notes='')"),
 ]
-IDS = ["Graph", "LeafFunction", "Rejection"]
+IDS = ["Graph", "LeafFunction", "Rejection", "VerifyReport"]
 
 
 @pytest.mark.parametrize("value, same, other, text", VALUES, ids=IDS)
@@ -29,7 +36,8 @@ def test_equality_hash_and_repr(value, same, other, text):
 
 
 @pytest.mark.parametrize("value, fields", zip([v[0] for v in VALUES], [
-    ("n", "edges"), ("n", "values"), ("reason", "witness")]), ids=IDS)
+    ("n", "edges"), ("n", "values"), ("reason", "witness"),
+    ("claim", "bound", "instances", "failures", "seconds", "notes")]), ids=IDS)
 def test_fields_cannot_change(value, fields):
     for name in fields:
         before = getattr(value, name)
@@ -49,23 +57,34 @@ def test_graph_caches_its_neighbor_tables():
     assert g == Graph.from_edges(3, [(0, 1), (1, 2)])  # the caches do not count
 
 
+@pytest.mark.parametrize("value", [v[0] for v in VALUES], ids=IDS)
+def test_pickle_and_deepcopy_round_trip(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(twin, value._fields[0], None)
+        if isinstance(value, LeafFunction):  # it ends in NEG_INF, which stays one object
+            assert value.values[-1] is twin.values[-1] is NEG_INF
+
+
+@pytest.mark.parametrize("cls", [type(v[0]) for v in VALUES], ids=IDS)
+def test_value_policy_lives_in_record(cls):
+    assert issubclass(cls, Record)
+    own = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__repr__"} & set(vars(cls))
+    assert not own, f"{cls.__name__} defines {sorted(own)} itself"
+
+
 def test_verify_report_fields():
     report = VerifyReport("c", 3, 4)
     assert list(report.to_dict()) == ["claim", "bound", "instances", "failures", "seconds",
                                       "notes"]
     assert report.to_dict() == {"claim": "c", "bound": 3, "instances": 4, "failures": [],
                                 "seconds": 0.0, "notes": ""}
-    assert repr(report) == ("VerifyReport(claim='c', bound=3, instances=4, failures=[], "
-                            "seconds=0.0, notes='')")
-    # each report has a list of its own, and to_dict copies it
-    other = VerifyReport("c", 3, 4)
-    assert report == other and report.failures is not other.failures
+    # failures are kept as a tuple, and to_dict hands out a list of its own
+    assert report.failures == () and report.passed
     report.to_dict()["failures"].append("x")
-    assert report.passed and report == other
-    report.failures = ["x"]  # the trees suite rewrites its last report
-    assert not report.passed and report != other
-    with pytest.raises(TypeError):
-        hash(report)
+    assert report.passed and report == VerifyReport("c", 3, 4)
+    assert not VerifyReport("c", 3, 4, ["x"]).passed
 
 
 # the names of the package before its submodules were loaded on demand

@@ -190,9 +190,9 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     small, smallest = verify.suite_trees(13)
     assert not broken
     assert (small.claim, small.instances, small.failures) == (
-        "tree-leaf-words-prefix-normal", 985, ["n=5 word=01"])
+        "tree-leaf-words-prefix-normal", 985, ("n=5 word=01",))
     assert (smallest.instances, smallest.failures) == (
-        1301, ["non-prefix-normal words at n=13: ['0100000000', '1101011011']"])
+        1301, ("non-prefix-normal words at n=13: ['0100000000', '1101011011']",))
     assert smallest.notes.endswith(": 0100000000,1101011011")
 
 
