@@ -34,17 +34,17 @@ def _input_leaf_function(args):
     from .subtrees import BRUTEFORCE_MAX_N, leaf_function_bruteforce, leaf_function_tree
 
     check_range("max_n", args.max_n, 0, BRUTEFORCE_MAX_N)
+    if args.family and args.param is None:
+        raise ValueError("--family requires --param")
+    if args.param is not None and not args.family:
+        raise ValueError("--param requires --family")
     if args.caterpillar:
         return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
     if args.family:
-        if args.param is None:
-            raise ValueError("--family requires --param")
         g = _build_family(args.family, args.param)
-    elif args.graph_file:
+    else:
         with open(args.graph_file) as fh:
             g = graph.read_edge_list(fh.read())
-    else:
-        raise ValueError("no graph input given")
     if graph.is_tree(g):
         return leaf_function_tree(g)
     return leaf_function_bruteforce(g, max_n=args.max_n)
@@ -102,10 +102,12 @@ def _generate_args(p: argparse.ArgumentParser) -> None:
 def _graph_input_args(p: argparse.ArgumentParser) -> None:
     from .subtrees import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
 
-    p.add_argument("graph_file", nargs="?", help="edge-list file ('n m' header)")
-    p.add_argument("--caterpillar", help=f"caterpillar sequence of size "
-                   f"3..{words.WORD_MAX_LEN + 3}, e.g. 3,0,2,4,0,1")
-    p.add_argument("--family", choices=FAMILIES)
+    # exactly one graph input; --param goes with --family only
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("graph_file", nargs="?", help="edge-list file ('n m' header)")
+    source.add_argument("--caterpillar", help=f"caterpillar sequence of size "
+                        f"3..{words.WORD_MAX_LEN + 3}, e.g. 3,0,2,4,0,1")
+    source.add_argument("--family", choices=FAMILIES)
     p.add_argument("--param", help=_param_help())
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                    help=f"brute-force bound 0..{BRUTEFORCE_MAX_N} on a graph that is not a "

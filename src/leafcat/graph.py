@@ -78,25 +78,25 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph.from_edges(len(vs), edges)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
+def _preorder_levels(g: Graph) -> list[int]:
+    """The depths, in a depth-first preorder from vertex 0, of the vertices
+    that vertex 0 reaches; a preorder level sequence when g is a tree."""
+    levels, stack, seen = [], [(0, 0)], {0}
     while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+        v, d = stack.pop()
+        levels.append(d)
+        for u in g.adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, d + 1))
+    return levels
 
 
 def is_tree(g: Graph) -> bool:
     """True iff g is connected and acyclic.  The empty graph counts as a tree."""
     if g.n == 0:
         return len(g.edges) == 0
-    return len(g.edges) == g.n - 1 and is_connected(g)
+    return len(g.edges) == g.n - 1 and len(_preorder_levels(g)) == g.n
 
 
 def leaf_count(g: Graph) -> int:

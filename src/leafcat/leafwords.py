@@ -9,9 +9,9 @@ from __future__ import annotations
 from .bounds import Record
 from .catseq import leaf_function_caterpillar
 from .subtrees import NEG_INF, LeafFunction, Sentinel
-from .words import pn_violation, prefix_ones, rc
+from .words import _rc, pn_violation, prefix_ones, rc
 
-OMEGA = Sentinel("w")
+OMEGA = Sentinel.OMEGA
 
 LeafWord = tuple
 
@@ -94,7 +94,7 @@ def realize_caterpillar(lf: LeafFunction):
     witness = pn_violation(w)
     if witness is not None:
         return Rejection("not-prefix-normal", witness)
-    return rc(w)
+    return _rc(w)
 
 
 def leaf_equivalent(w1: str, w2: str) -> bool:

@@ -8,6 +8,7 @@ bitmasks internally.  It stays the oracle for the tree DP.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
 from .bounds import Record, check_range
@@ -20,29 +21,20 @@ DEFAULT_MAX_N = 20
 BRUTEFORCE_MAX_N = 25
 
 
-class Sentinel:
-    """A marker value, one instance per name, compared by identity.  Not a
-    number on purpose: arithmetic with it must be handled explicitly, never
-    silently."""
+class Sentinel(Enum):
+    """The two marker values, compared by identity.  Not numbers on purpose:
+    arithmetic with them must be handled explicitly, never silently."""
 
-    _named: dict[str, "Sentinel"] = {}
-
-    def __new__(cls, name: str):
-        if name not in cls._named:
-            self = super().__new__(cls)
-            self.name = name
-            cls._named[name] = self
-        return cls._named[name]
+    NEG_INF = "-inf"  # the value of an empty maximum
+    OMEGA = "w"  # a leaf-word letter next to an empty maximum
 
     def __repr__(self):
-        return self.name
+        return self.value
 
-    def __reduce__(self):
-        return Sentinel, (self.name,)
+    __str__ = __repr__
 
 
-# the value of an empty maximum
-NEG_INF = Sentinel("-inf")
+NEG_INF = Sentinel.NEG_INF
 
 
 class LeafFunction(Record):
@@ -197,26 +189,14 @@ _MEMO_MAX_SIZE = 8
 
 def leaf_function_tree(t: Graph) -> LeafFunction:
     """L_T of a tree: the tree DP on its depth-first preorder from vertex 0."""
+    from .graph import _preorder_levels
+
     if t.n == 0:
         return LeafFunction(0, (0,))
     levels = _preorder_levels(t)
     if len(levels) != t.n or len(t.edges) != t.n - 1:
         raise ValueError("leaf_function_tree requires a tree")
     return _leaf_function_levels(levels, {})
-
-
-def _preorder_levels(g: Graph) -> list[int]:
-    """The depths, in a depth-first preorder from vertex 0, of the vertices
-    that vertex 0 reaches; a preorder level sequence when g is a tree."""
-    levels, stack, seen = [], [(0, 0)], {0}
-    while stack:
-        v, d = stack.pop()
-        levels.append(d)
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append((u, d + 1))
-    return levels
 
 
 def _leaf_function_levels(levels: list[int], memo: dict) -> LeafFunction:

@@ -63,9 +63,14 @@ def test_generate_highlight_needs_dot(capsys):
     (["leaf-word", "--family", "star", "--param", "2.5"], "--param='2.5' is not an integer"),
     (["realize", "0,0,x"], "L(2)='x' is not an integer"),
     (["realize", "0,,1"], "L(1)='' is not an integer"),
-], ids=["generate-param", "leaf-word-param", "realize-entry", "realize-empty-entry"])
+    (["leaf-function", "--family", "wheel"], "--family requires --param"),
+    (["rc", "0101", "--empty"], "give a word or --empty, not both"),
+    (["pnf"], "missing word (use --empty for the empty word)"),
+], ids=["generate-param", "leaf-word-param", "realize-entry", "realize-empty-entry",
+        "family-without-param", "word-and-empty", "missing-word"])
 def test_non_integer_argument_exits_2(capsys, argv, message):
-    # the flag or entry and its value, not Python's own int() message
+    # a message meant for users, naming the flag or entry and its value, not
+    # Python's own int() message
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -235,11 +240,23 @@ def test_verify_json(capsys):
         "poset-reflexivity", "poset-antisymmetry", "poset-transitivity"}
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, no_work):
     assert run(capsys, "rc", "012")[0] == 2
     assert run(capsys, "leaf-function")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "leaf-function", "/nonexistent/path")[0] == 2
+    # a graph command takes exactly one graph input, and --param only with --family
+    for command in ("leaf-function", "leaf-word"):
+        for inputs in (["p3.txt", "--caterpillar", "3,0,2"],
+                       ["p3.txt", "--family", "wheel", "--param", "5"],
+                       ["--caterpillar", "3,0,2", "--family", "wheel", "--param", "5"]):
+            code, out, err = run(capsys, command, *inputs)
+            assert (code, out) == (2, "") and "not allowed with argument" in err
+        code, out, err = run(capsys, command, "--param", "5")
+        assert (code, out) == (2, "") and "one of the arguments" in err
+        for inputs in (["p3.txt"], ["--caterpillar", "3,0,2"]):
+            assert run(capsys, command, *inputs, "--param", "5") == (
+                2, "", "error: --param requires --family\n")
 
 
 def test_malformed_edge_list_exits_2(tmp_path, capsys):
@@ -307,6 +324,37 @@ def test_cold_start_leaves_networkx_unloaded():
         "PASS poset-reflexivity bound=3 instances=1 failures=0 time=\n"
         "PASS poset-antisymmetry bound=3 instances=0 failures=0 time=\n"
         "PASS poset-transitivity bound=3 instances=1 failures=0 time=\n")
+
+
+WORD_MODULES = {"cli", "bounds", "words", "catseq"}
+
+
+# README's cold-start table: commands, and the modules of leafcat they load
+@pytest.mark.parametrize("commands, modules", [
+    ([["rc", "0101"], ["pnf", "0101"], ["word-of", "1,1,2"], ["check-pn", "1010"],
+      ["poset", "--max-size", "3"], ["--help"]], WORD_MODULES),
+    ([["equiv", "01", "10"], ["realize", "0,0,2,2"]], WORD_MODULES | {"subtrees", "leafwords"}),
+    ([["generate", "--family", "chain", "--param", "3"]], WORD_MODULES | {"graph"}),
+    ([["leaf-function", "--family", "chain", "--param", "3"]],
+     WORD_MODULES | {"graph", "subtrees"}),
+    ([["leaf-word", "--family", "chain", "--param", "4"]],
+     WORD_MODULES | {"graph", "subtrees", "leafwords"}),
+    ([["verify", "--suite", "poset", "--max-n", "3"]],
+     WORD_MODULES | {"subtrees", "leafwords", "verify"}),
+], ids=["word-commands", "equiv-realize", "generate", "leaf-function", "leaf-word", "verify"])
+def test_cold_start_table(commands, modules):
+    script = (
+        "import contextlib, io, sys\n"
+        "import leafcat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [leafcat.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('leafcat.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted(f"leafcat.{m}" for m in modules)
+    assert proc.stdout == f"{[0] * len(commands)} {expected}\n"
 
 
 def test_python_m_leafcat():

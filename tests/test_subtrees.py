@@ -16,6 +16,7 @@ from leafcat.graph import (
     GRAPH_MAX_N,
     STAR_MAX_M,
     Graph,
+    _preorder_levels,
     caterpillar_graph,
     chain,
     fk_tree,
@@ -40,6 +41,12 @@ def test_leaf_function_validation():
         LeafFunction(3, (1, 0, 2, 2))  # L(0) != 0
     with pytest.raises(ValueError):
         LeafFunction(3, (0, 0, NEG_INF, 2))  # -inf not a suffix
+    with pytest.raises(ValueError, match="L\\(1\\) must be 0"):
+        LeafFunction(3, (0, 1, 2, 2))
+    with pytest.raises(ValueError, match="bad leaf-function value -1"):
+        LeafFunction(3, (0, 0, 2, -1))
+    with pytest.raises(ValueError, match="bad leaf-function value 2.0"):
+        LeafFunction(3, (0, 0, 2.0, 2))
 
 
 def test_json_roundtrip():
@@ -53,6 +60,8 @@ def test_sentinels_keep_repr_and_identity():
     from leafcat.leafwords import OMEGA
 
     assert (repr(NEG_INF), repr(OMEGA)) == ("-inf", "w")
+    assert (str(NEG_INF), str(OMEGA)) == ("-inf", "w")
+    assert (format(NEG_INF), f"{OMEGA}") == ("-inf", "w")
     assert NEG_INF is not OMEGA
     for sentinel in (NEG_INF, OMEGA):
         assert copy.deepcopy(sentinel) is sentinel
@@ -426,7 +435,7 @@ _SHARED_MEMO = {}
 @settings(max_examples=150, deadline=None)
 @given(random_trees(max_n=14))
 def test_shared_memo_matches_bruteforce_on_random_trees(t):
-    lf = subtrees._leaf_function_levels(subtrees._preorder_levels(t), _SHARED_MEMO)
+    lf = subtrees._leaf_function_levels(_preorder_levels(t), _SHARED_MEMO)
     assert lf == leaf_function_bruteforce(t), sorted(t.edges)
 
 

@@ -32,6 +32,10 @@ def checks(monkeypatch):
     return counts
 
 
+# built here, so that only realize_caterpillar's own checks are counted
+LF_1101 = lw.leaf_function_from_word("1101")
+
+
 @pytest.mark.parametrize("call", [
     lambda: wd.f1_profile("01" * 50),
     lambda: wd.is_prefix_normal("01" * 50),
@@ -39,8 +43,9 @@ def checks(monkeypatch):
     lambda: wd.is_k_prefix_normal("01" * 50, 1),
     lambda: wd.pn_violation("1" * 50 + "0" * 50),
     lambda: wd.pnf("01" * 50),
+    lambda: lw.realize_caterpillar(LF_1101),
 ], ids=["f1_profile", "is_prefix_normal-no", "is_prefix_normal-yes",
-        "is_k_prefix_normal", "pn_violation", "pnf"])
+        "is_k_prefix_normal", "pn_violation", "pnf", "realize_caterpillar"])
 def test_word_checked_once(call, checks):
     call()
     assert checks == {"check_binary": 1}
