@@ -21,7 +21,7 @@ CatSeq = tuple  # tuple[int, ...]
 def check_sequence(s) -> None:
     if not isinstance(s, tuple) or len(s) == 0:
         raise ValueError(f"not a caterpillar sequence: {s!r}")
-    if any(not isinstance(x, int) or x < 0 for x in s):
+    if any(type(x) is not int or x < 0 for x in s):  # bool is an int subclass
         raise ValueError(f"entries must be non-negative integers: {s!r}")
     if s[0] < 1 or s[-1] < 1:
         raise ValueError(f"first and last entries must be >= 1: {s!r}")

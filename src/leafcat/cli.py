@@ -102,7 +102,10 @@ def _generate_args(p: argparse.ArgumentParser) -> None:
 def _graph_input_args(p: argparse.ArgumentParser) -> None:
     from .subtrees import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
 
-    # exactly one graph input; --param goes with --family only
+    # exactly one graph input; --param goes with --family only.  argparse cannot
+    # show a group that holds a positional, so the usage line is written here
+    p.usage = ("%(prog)s [-h] (graph_file | --caterpillar CATERPILLAR | "
+               f"--family {{{','.join(FAMILIES)}}}) [--param PARAM] [--max-n MAX_N]")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("graph_file", nargs="?", help="edge-list file ('n m' header)")
     source.add_argument("--caterpillar", help=f"caterpillar sequence of size "

@@ -23,8 +23,9 @@ class Graph(Record):
 
     _fields = ("n", "edges")
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         check_range("n", n, 0, GRAPH_MAX_N)
+        edges = frozenset(edges)  # a frozenset is kept as it is
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")

@@ -52,12 +52,12 @@ class LeafFunction(Record):
         if n >= 1 and values[1] != 0:
             raise ValueError("L(1) must be 0")
         seen_inf = False
-        for v in values[1:]:
+        for v in values:
             if v is NEG_INF:
                 seen_inf = True
             elif seen_inf:
                 raise ValueError("-inf entries must form a suffix")
-            elif not isinstance(v, int) or v < 0:
+            elif type(v) is not int or v < 0:  # bool is an int subclass
                 raise ValueError(f"bad leaf-function value {v!r}")
         super().__init__(n=n, values=values)
 
@@ -199,7 +199,8 @@ def leaf_function_tree(t: Graph) -> LeafFunction:
     return _leaf_function_levels(levels, {})
 
 
-def _leaf_function_levels(levels: list[int], memo: dict) -> LeafFunction:
+def _leaf_function_levels(levels: list[int], memo: dict,
+                          chain: list | None = None) -> LeafFunction:
     """L_T in O(n^2) of the tree with preorder level sequence `levels`, after
     Blondin Masse et al., "Fully leafed induced subtrees" (arXiv:1709.09808).
 
@@ -212,13 +213,20 @@ def _leaf_function_levels(levels: list[int], memo: dict) -> LeafFunction:
     rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices is looked up
     in `memo` by its shape, its slice of `levels` less its own depth, and on a
     hit is merged without being walked; the memo holds its "under parent" row
-    and the best leaf counts of the sets topped inside it."""
+    and the best leaf counts of the sets topped inside it.
+
+    A `chain` list, when given, carries the root's merges from call to call:
+    at each root child after the first, the levels up to and including it,
+    the root's rows and the counts inside the root.  A call resumes at the
+    last child whose prefix it shares, so consecutive trees of the census
+    merge again only the root children that changed."""
     n = len(levels)
     best = [0] * (n + 1)
     # the open vertices [depth, knapsack, memo key, inside] below a placeholder
-    # parent of the root; inside gathers the best leaf counts of the sets topped
-    # in the subtree: its own row when the subtree is memoised, else `best`
-    stack = [[-1, _ALONE, None, best]]
+    # parent of the root, whose empty knapsack takes no merge; inside gathers the
+    # best leaf counts of the sets topped in the subtree: its own row when the
+    # subtree is memoised, else `best`
+    stack = [[-1, (), None, best]]
     v = 0
     while True:
         d = levels[v] if v < n else 0  # at the end, close every vertex
@@ -234,6 +242,17 @@ def _leaf_function_levels(levels: list[int], memo: dict) -> LeafFunction:
             _merge_up(stack[-1], under, inside)
         if v == n:
             return LeafFunction(n, tuple(best))
+        if d == 1 and chain is not None:  # the root has merged its children before v
+            root = stack[-1]
+            if v > 1:
+                chain.append((levels[:v + 1], root[1], root[3][:v]))
+            else:  # the first child: resume after the longest prefix kept in the chain
+                while chain and levels[:len(chain[-1][0])] != chain[-1][0]:
+                    chain.pop()
+                if chain:
+                    prefix, root[1], inside = chain[-1]
+                    root[3][:len(inside)] = inside
+                    v = len(prefix) - 1
         end, stop = v + 1, min(n, v + _MEMO_MAX_SIZE + 1)
         while end < stop and levels[end] > d:
             end += 1

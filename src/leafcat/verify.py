@@ -251,13 +251,16 @@ TREES_MIN_N, TREES_MAX_N = 3, 13
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     check_range("max_n", max_n, TREES_MIN_N, TREES_MAX_N)
-    # the generator's level sequences go straight to the tree DP, and every
-    # tree of the census shares the DP's memo of rooted subtrees
-    memo = {}
+    # the generator's level sequences go straight to the tree DP; every tree
+    # of the census shares the DP's memo of rooted subtrees and resumes the
+    # root's merges of the tree before it, and each distinct word is decided once
+    memo, chain, verdicts = {}, [], {}
 
     def normal(levels):
-        w = format_leaf_word(delta_leaf_word(_leaf_function_levels(levels, memo)))
-        if not words.is_prefix_normal(w):
+        w = format_leaf_word(delta_leaf_word(_leaf_function_levels(levels, memo, chain)))
+        if w not in verdicts:
+            verdicts[w] = words.is_prefix_normal(w)
+        if not verdicts[w]:
             yield f"n={len(levels)} word={w}"
 
     trees = (lv for n in range(3, min(max_n, 12) + 1) for lv in _free_tree_levels(n))

@@ -22,6 +22,9 @@ def test_check_sequence():
     for bad in [(), (0,), (1,), (0, 1), (1, 0), (-1, 2), (1.5,)]:
         with pytest.raises(ValueError):
             cs.check_sequence(bad)
+    for bad in [(2, True), (True, 1), (False, 2)]:  # bool is not an entry
+        with pytest.raises(ValueError, match="entries must be non-negative integers"):
+            cs.check_sequence(bad)
     for good in [(2,), (1, 1), (3, 0, 2, 4, 0, 1)]:
         cs.check_sequence(good)
 

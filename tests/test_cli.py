@@ -245,13 +245,17 @@ def test_usage_errors_exit_2(capsys, no_work):
     assert run(capsys, "leaf-function")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "leaf-function", "/nonexistent/path")[0] == 2
-    # a graph command takes exactly one graph input, and --param only with --family
+    # a graph command takes exactly one graph input, and --param only with
+    # --family; its usage line shows the three inputs as one required choice
     for command in ("leaf-function", "leaf-word"):
+        usage = (f"usage: leafcat {command} [-h] (graph_file | --caterpillar CATERPILLAR | "
+                 "--family {wheel,star,chain,fk,caterpillar}) [--param PARAM] [--max-n MAX_N]\n")
         for inputs in (["p3.txt", "--caterpillar", "3,0,2"],
                        ["p3.txt", "--family", "wheel", "--param", "5"],
                        ["--caterpillar", "3,0,2", "--family", "wheel", "--param", "5"]):
             code, out, err = run(capsys, command, *inputs)
             assert (code, out) == (2, "") and "not allowed with argument" in err
+            assert err.startswith(usage)
         code, out, err = run(capsys, command, "--param", "5")
         assert (code, out) == (2, "") and "one of the arguments" in err
         for inputs in (["p3.txt"], ["--caterpillar", "3,0,2"]):

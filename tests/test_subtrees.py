@@ -47,6 +47,9 @@ def test_leaf_function_validation():
         LeafFunction(3, (0, 0, 2, -1))
     with pytest.raises(ValueError, match="bad leaf-function value 2.0"):
         LeafFunction(3, (0, 0, 2.0, 2))
+    for values, bad in (((0, 0, True), True), ((0, False, 1), False), ((False, 0, 1), False)):
+        with pytest.raises(ValueError, match=f"bad leaf-function value {bad}"):  # not a bool
+            LeafFunction(2, values)
 
 
 def test_json_roundtrip():
@@ -426,6 +429,32 @@ def test_census_memo_matches_bruteforce():
     for key in memo:
         assert 1 <= len(key) <= subtrees._MEMO_MAX_SIZE and key[0] == 0
         assert all(1 <= key[i] <= key[i - 1] + 1 for i in range(1, len(key)))
+
+
+def test_census_resume_matches_fresh_memo(monkeypatch):
+    # one memo and one chain of root merges, as the census shares them,
+    # against a fresh memo per tree: in generator order, and shuffled so that
+    # consecutive trees share few root children and most calls resume short
+    trees = [levels for n in range(1, 15) for levels in subtrees._free_tree_levels(n)]
+    fresh = [subtrees._leaf_function_levels(levels, {}) for levels in trees]
+    merge, merges = subtrees._merge_up, [0]
+
+    def counted(*args):
+        merges[0] += 1
+        merge(*args)
+
+    monkeypatch.setattr(subtrees, "_merge_up", counted)
+    ordered, shuffled = range(len(trees)), random.Random(1).sample(range(len(trees)), len(trees))
+    counts = []
+    for order, chain in ((ordered, []), (shuffled, []), (ordered, None)):
+        memo, merges[0] = {}, 0
+        for i in order:
+            assert subtrees._leaf_function_levels(trees[i], memo, chain) == fresh[i], trees[i]
+        counts.append(merges[0])
+    # resuming skips the merges of the shared root children: over a quarter of
+    # all merges in generator order
+    resumed, resumed_shuffled, unchained = counts
+    assert 4 * resumed < 3 * unchained and resumed_shuffled <= unchained
 
 
 # one memo across every example, as the census shares one across its trees

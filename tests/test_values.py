@@ -25,9 +25,13 @@ VALUES = [
      "VerifyReport(claim='c', bound=3, instances=4, failures=('x',), seconds=0.5, notes='')"),
 ]
 IDS = ["Graph", "LeafFunction", "Rejection", "VerifyReport"]
+# edges given as a list are frozen, so the graph hashes and compares by value
+EDGE_LIST = (Graph(3, [(0, 1)]), Graph.from_edges(3, [(1, 0)]), Graph(3, []),
+             "Graph(n=3, edges=frozenset({(0, 1)}))")
 
 
-@pytest.mark.parametrize("value, same, other, text", VALUES, ids=IDS)
+@pytest.mark.parametrize("value, same, other, text", VALUES + [EDGE_LIST],
+                         ids=IDS + ["Graph-edge-list"])
 def test_equality_hash_and_repr(value, same, other, text):
     assert value == same and hash(value) == hash(same) and len({value, same}) == 1
     assert value != other and other != value

@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -180,11 +181,11 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     # the first tree on 5 and on 13 vertices read 01 and 0100000000
     broken = {5: (0, 0, 2, 2, 2, 3), 13: (0, 0, 2, 2, 2) + (3,) * 9}
 
-    def leaf_function(levels, memo):
+    def leaf_function(levels, memo, chain):
         n = len(levels)
         if n in broken:
             return LeafFunction(n, broken.pop(n))
-        return subtrees._leaf_function_levels(levels, memo)
+        return subtrees._leaf_function_levels(levels, memo, chain)
 
     monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
     small, smallest = verify.suite_trees(13)
@@ -194,6 +195,23 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     assert (smallest.instances, smallest.failures) == (
         1301, ("non-prefix-normal words at n=13: ['0100000000', '1101011011']",))
     assert smallest.notes.endswith(": 0100000000,1101011011")
+
+
+def test_tree_census_decides_each_word_once(monkeypatch, capsys):
+    # 2,286 trees on 3 to 13 vertices have 511 distinct leaf words, of n - 3
+    # letters each: 292 on at most 12 vertices and 219 on 13
+    decided = Counter()
+    decide = words.is_prefix_normal
+
+    def counted(w):
+        decided[len(w) + 3] += 1
+        return decide(w)
+
+    monkeypatch.setattr(words, "is_prefix_normal", counted)
+    code, out = run(capsys, "verify", "--suite", "trees", "--max-n", "13")
+    assert code == 0 and "instances=985 " in out and "instances=1301 " in out
+    assert sum(decided.values()) == 511
+    assert (sum(decided[n] for n in range(13)), decided[13]) == (292, 219)
 
 
 def test_tree_census_builds_no_graph(monkeypatch):
