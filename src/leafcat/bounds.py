@@ -1,4 +1,43 @@
-"""The one range check behind every size bound, and the one value-class base."""
+"""The size cap of every entry point, the one range check that enforces them,
+and the one value-class base."""
+
+# the most vertices of any graph; the tree DP is O(n^2) and takes about 0.5 s
+# on a 1,000-vertex chain (one core of a 2-vCPU VM)
+GRAPH_MAX_N = 1000
+# each generator's cap on its parameter: its largest graph has at most
+# GRAPH_MAX_N vertices, and so has a caterpillar_graph
+CHAIN_MAX_N = GRAPH_MAX_N
+STAR_MAX_M = WHEEL_MAX_N = GRAPH_MAX_N - 1
+FK_MAX_K = (GRAPH_MAX_N - 7) // 6
+
+# brute force's default size bound, and the ceiling of that bound
+DEFAULT_MAX_N = 20
+BRUTEFORCE_MAX_N = 25
+# the most vertices of the trees enumerate_free_trees lists
+FREE_TREE_MAX_N = 14
+
+# the longest words enumerate_pnw lists
+ENUM_MAX_LEN = 22
+# the longest word a public function takes; F1 profiles are O(n^2), and pnf
+# takes about 0.9 s at this length (one core of a 2-vCPU VM)
+WORD_MAX_LEN = 5000
+# the largest k of is_k_prefix_normal; no factor of a word of at most
+# WORD_MAX_LEN letters has more ones than that
+K_MAX = WORD_MAX_LEN
+
+# the largest sequence size of all_sequences, and of hasse_covers and hasse_dot
+SEQUENCES_MAX_SIZE, HASSE_MAX_SIZE = 20, 12
+
+# verify suite name -> the range of its bound
+SUITE_BOUNDS = {
+    "poset": (0, 9),
+    "morphism": (0, 10),
+    "roundtrip": (0, 12),
+    "leaf-equivalence": (0, 8),
+    "trees": (3, 13),
+}
+# accepted alternate spellings for the suite selector
+SUITE_ALIASES = {"theorem53": "roundtrip", "theorem61": "leaf-equivalence"}
 
 
 def check_range(name: str, value: int, low: int, high: int) -> None:

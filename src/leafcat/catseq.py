@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from operator import le
 
-from .bounds import check_range
-from .words import WORD_MAX_LEN, _binary_words, _rc
+from .bounds import HASSE_MAX_SIZE, SEQUENCES_MAX_SIZE, WORD_MAX_LEN, check_range
+from .words import _binary_words, _rc
 
 CatSeq = tuple  # tuple[int, ...]
 
@@ -153,8 +153,6 @@ def leaf_function_caterpillar(s: CatSeq) -> LeafFunction:
 
 # ---------------------------------------------------------------------------
 # Poset machinery
-
-SEQUENCES_MAX_SIZE, HASSE_MAX_SIZE = 20, 12
 
 
 def all_sequences(max_size: int) -> list[CatSeq]:

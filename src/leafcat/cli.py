@@ -5,7 +5,8 @@ Exit codes: 0 on success / true, 1 on false / rejection / failed claims,
 
 A cold invocation loads only what its command uses: the word commands need
 `words` and `catseq`, and `graph`, `subtrees`, `leafwords`, `verify` and
-`json` are imported by the commands (and the help) that use them.
+`json` are imported by the commands that use them.  The help prints the caps
+of `bounds`, which every command loads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import argparse
 import sys
 
 from . import catseq, words
-from .bounds import check_range
+from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, DEFAULT_MAX_N, FK_MAX_K, GRAPH_MAX_N,
+                     HASSE_MAX_SIZE, STAR_MAX_M, SUITE_ALIASES, SUITE_BOUNDS, WHEEL_MAX_N,
+                     WORD_MAX_LEN, check_range)
 
 # family -> the name of its generator in `graph`, looked up when called
 GENERATORS = {"wheel": "wheel", "star": "star", "chain": "chain", "fk": "fk_tree"}
@@ -31,7 +34,7 @@ def _build_family(family: str, param: str):
 
 def _input_leaf_function(args):
     from . import graph
-    from .subtrees import BRUTEFORCE_MAX_N, leaf_function_bruteforce, leaf_function_tree
+    from .subtrees import leaf_function_bruteforce, leaf_function_tree
 
     check_range("max_n", args.max_n, 0, BRUTEFORCE_MAX_N)
     if args.family and args.param is None:
@@ -57,51 +60,12 @@ def _integer(name: str, text: str) -> int:
         raise ValueError(f"{name}={text.strip()!r} is not an integer") from None
 
 
-def _word_arg(args) -> str:
-    if args.empty:
-        if args.word:
-            raise ValueError("give a word or --empty, not both")
-        return ""
-    if args.word is None:
-        raise ValueError("missing word (use --empty for the empty word)")
-    words.check_binary(args.word)
-    return args.word
-
-
-class _Command(argparse.ArgumentParser):
-    """A command's parser.  Given `add_arguments`, it adds its arguments when
-    the command is parsed, so the module whose caps its help prints is loaded
-    for that command only."""
-
-    def __init__(self, *args, add_arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            self._add_arguments(self)
-            self._add_arguments = None
-        return super().parse_known_args(args, namespace)
-
-
-def _param_help() -> str:
-    from . import graph
-
-    return (f"family parameter: wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.STAR_MAX_M}, "
-            f"chain 1..{graph.CHAIN_MAX_N}, fk 1..{graph.FK_MAX_K}, or a caterpillar "
-            f"sequence of size 3..{graph.GRAPH_MAX_N}")
-
-
-def _generate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--param", required=True, help=_param_help())
-    p.add_argument("--dot", action="store_true", help="emit DOT instead")
-    p.add_argument("--highlight", help="comma-separated vertices to color blue")
+PARAM_HELP = (f"family parameter: wheel 3..{WHEEL_MAX_N}, star 0..{STAR_MAX_M}, "
+              f"chain 1..{CHAIN_MAX_N}, fk 1..{FK_MAX_K}, or a caterpillar "
+              f"sequence of size 3..{GRAPH_MAX_N}")
 
 
 def _graph_input_args(p: argparse.ArgumentParser) -> None:
-    from .subtrees import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
-
     # exactly one graph input; --param goes with --family only.  argparse cannot
     # show a group that holds a positional, so the usage line is written here
     p.usage = ("%(prog)s [-h] (graph_file | --caterpillar CATERPILLAR | "
@@ -109,45 +73,35 @@ def _graph_input_args(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("graph_file", nargs="?", help="edge-list file ('n m' header)")
     source.add_argument("--caterpillar", help=f"caterpillar sequence of size "
-                        f"3..{words.WORD_MAX_LEN + 3}, e.g. 3,0,2,4,0,1")
+                        f"3..{WORD_MAX_LEN + 3}, e.g. 3,0,2,4,0,1")
     source.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--param", help=_param_help())
+    p.add_argument("--param", help=PARAM_HELP)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                    help=f"brute-force bound 0..{BRUTEFORCE_MAX_N} on a graph that is not a "
                         f"tree (default {DEFAULT_MAX_N}); a tree takes the tree DP instead")
 
 
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    from . import verify
-
-    p.add_argument("--suite", default="all",
-                   choices=("all",) + verify.SUITES + tuple(verify.SUITE_ALIASES))
-    p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
-        f"{name} {low}..{high}" for name, (low, high) in verify.SUITE_BOUNDS.items()))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="leafcat")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("generate", help="emit a family graph as an edge list",
-                   add_arguments=_generate_args)
-    sub.add_parser("leaf-function", help="leaf function of a graph",
-                   add_arguments=_graph_input_args)
-    sub.add_parser("leaf-word", help="leaf word of a graph", add_arguments=_graph_input_args)
+    p = sub.add_parser("generate", help="emit a family graph as an edge list")
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--param", required=True, help=PARAM_HELP)
+    p.add_argument("--dot", action="store_true", help="emit DOT instead")
+    p.add_argument("--highlight", help="comma-separated vertices to color blue")
+    _graph_input_args(sub.add_parser("leaf-function", help="leaf function of a graph"))
+    _graph_input_args(sub.add_parser("leaf-word", help="leaf word of a graph"))
 
     for name in ("rc", "pnf"):
-        p = sub.add_parser(name)
-        p.add_argument("word", nargs="?")
-        p.add_argument("--empty", action="store_true", help="use the empty word")
+        sub.add_parser(name).add_argument("word")
 
     p = sub.add_parser("word-of", help="binary word of a caterpillar sequence")
     p.add_argument("sequence")
 
     p = sub.add_parser("check-pn", help="prefix normality (or k-prefix normality)")
-    p.add_argument("word", nargs="?")
-    p.add_argument("--empty", action="store_true")
+    p.add_argument("word")
     p.add_argument("--k", type=int, default=0)
 
     p = sub.add_parser("equiv", help="same maximal-ones profile?")
@@ -159,10 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", help="cover relations of small caterpillar sequences")
     p.add_argument("--max-size", type=int, default=6,
-                   help=f"largest sequence size, 0..{catseq.HASSE_MAX_SIZE} (default 6)")
+                   help=f"largest sequence size, 0..{HASSE_MAX_SIZE} (default 6)")
     p.add_argument("--dot", action="store_true")
 
-    sub.add_parser("verify", help="run exhaustive verification suites", add_arguments=_verify_args)
+    p = sub.add_parser("verify", help="run exhaustive verification suites")
+    p.add_argument("--suite", default="all", choices=("all", *SUITE_BOUNDS, *SUITE_ALIASES))
+    p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
+        f"{name} {low}..{high}" for name, (low, high) in SUITE_BOUNDS.items()))
 
     return ap
 
@@ -177,6 +134,9 @@ def _show(args, data, text: str) -> None:
 
 
 def _run(args) -> int:
+    if args.command in ("rc", "pnf", "check-pn"):
+        words.check_binary(args.word)  # a bad word exits 2 before any work starts
+
     if args.command == "generate":
         from . import graph
 
@@ -191,9 +151,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "leaf-function":
+        from .subtrees import NEG_INF
+
         lf = _input_leaf_function(args)
-        print(lf.to_json() if args.json
-              else ", ".join(f"{i} -> {v!r}" for i, v in enumerate(lf.values)))
+        _show(args, {"n": lf.n, "values": [str(v) if v is NEG_INF else v for v in lf.values]},
+              ", ".join(f"{i} -> {v!r}" for i, v in enumerate(lf.values)))
         return 0
 
     if args.command == "leaf-word":
@@ -204,7 +166,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "rc":
-        s = catseq.format_sequence(words.rc(_word_arg(args)))
+        s = catseq.format_sequence(words.rc(args.word))
         _show(args, {"sequence": s}, s)
         return 0
 
@@ -214,20 +176,19 @@ def _run(args) -> int:
         return 0
 
     if args.command == "pnf":
-        v = words.pnf(_word_arg(args))
+        v = words.pnf(args.word)
         _show(args, {"word": v}, v)
         return 0
 
     if args.command == "check-pn":
-        w = _word_arg(args)
         if args.k == 0:
-            wit = words.pn_violation(w)
+            wit = words.pn_violation(args.word)
             ok = wit is None
             _show(args, {"prefix_normal": ok, "witness": list(wit) if wit else None},
                   "prefix normal" if ok else
                   f"not prefix normal: prefix {wit[0]} has fewer 1s than factor {wit[1]}")
         else:
-            ok = words.is_k_prefix_normal(w, args.k)
+            ok = words.is_k_prefix_normal(args.word, args.k)
             _show(args, {"k": args.k, "k_prefix_normal": ok},
                   f"{'' if ok else 'not '}{args.k}-prefix normal")
         return 0 if ok else 1
@@ -249,7 +210,8 @@ def _run(args) -> int:
         try:
             lf = LeafFunction(len(vals) - 1, vals)
         except ValueError as exc:
-            print(f"rejected: {exc}")
+            _show(args, {"realizable": False, "reason": "not-a-leaf-function", "witness": None},
+                  f"rejected: {exc}")
             return 1
         result = realize_caterpillar(lf)
         if isinstance(result, Rejection):

@@ -9,11 +9,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .bounds import Record, check_range
-
-# the most vertices of any graph; the tree DP is O(n^2) and takes about 0.5 s
-# on a 1,000-vertex chain (one core of a 2-vCPU VM)
-GRAPH_MAX_N = 1000
+from .bounds import (CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M, WHEEL_MAX_N, Record,
+                     check_range)
 
 
 class Graph(Record):
@@ -112,12 +109,6 @@ def leaf_count(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # Generators
-
-# each generator's cap on its parameter: its largest graph has at most
-# GRAPH_MAX_N vertices, and so has a caterpillar_graph
-CHAIN_MAX_N = GRAPH_MAX_N
-STAR_MAX_M = WHEEL_MAX_N = GRAPH_MAX_N - 1
-FK_MAX_K = (GRAPH_MAX_N - 7) // 6
 
 
 def chain(n: int) -> Graph:

@@ -11,14 +11,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from .bounds import Record, check_range
+from .bounds import BRUTEFORCE_MAX_N, DEFAULT_MAX_N, FREE_TREE_MAX_N, Record, check_range
 
 if TYPE_CHECKING:  # a leaf function of a caterpillar or a word needs no Graph
     from .graph import Graph
-
-# brute force's default size bound, and the ceiling of that bound
-DEFAULT_MAX_N = 20
-BRUTEFORCE_MAX_N = 25
 
 
 class Sentinel(Enum):
@@ -60,20 +56,6 @@ class LeafFunction(Record):
             elif type(v) is not int or v < 0:  # bool is an int subclass
                 raise ValueError(f"bad leaf-function value {v!r}")
         super().__init__(n=n, values=values)
-
-    def to_json(self) -> str:
-        import json
-
-        vals = ["-inf" if v is NEG_INF else v for v in self.values]
-        return json.dumps({"n": self.n, "values": vals})
-
-    @staticmethod
-    def from_json(text: str) -> "LeafFunction":
-        import json
-
-        data = json.loads(text)
-        vals = tuple(NEG_INF if v == "-inf" else int(v) for v in data["values"])
-        return LeafFunction(int(data["n"]), vals)
 
 
 def _connected_set_masks(g: Graph, limit: int) -> Iterator[int]:
@@ -289,8 +271,6 @@ def _merge_up(parent: list, under: tuple, inside) -> None:
 
 # ---------------------------------------------------------------------------
 # Free trees
-
-FREE_TREE_MAX_N = 14
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:

@@ -10,7 +10,7 @@ import time
 from itertools import chain, combinations, groupby
 
 from . import catseq, words
-from .bounds import Record, check_range
+from .bounds import SUITE_ALIASES, SUITE_BOUNDS, Record, check_range
 from .leafwords import delta_leaf_word, format_leaf_word
 from .subtrees import _free_tree_levels, _leaf_function_levels
 
@@ -68,11 +68,8 @@ def _claim(claim: str, bound: int, cases, law) -> VerifyReport:
 # poset
 
 
-POSET_MIN_SIZE, POSET_MAX_SIZE = 0, 9
-
-
 def suite_poset(max_size: int = 7) -> list[VerifyReport]:
-    check_range("max_size", max_size, POSET_MIN_SIZE, POSET_MAX_SIZE)
+    check_range("max_size", max_size, *SUITE_BOUNDS["poset"])
     seqs = catseq.all_sequences(max_size)
     idx = range(len(seqs))
     le = {(i, j) for i in idx for j in idx if catseq.is_subsequence(seqs[i], seqs[j])}
@@ -102,11 +99,8 @@ def suite_poset(max_size: int = 7) -> list[VerifyReport]:
 # morphism / algebra
 
 
-MORPHISM_MIN_LEN, MORPHISM_MAX_LEN = 0, 10
-
-
 def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
-    check_range("max_len", max_len, MORPHISM_MIN_LEN, MORPHISM_MAX_LEN)
+    check_range("max_len", max_len, *SUITE_BOUNDS["morphism"])
     pair_len = min(max_len, 6)
     pair_words = _all_words(pair_len)
     all_words = _all_words(max_len)
@@ -197,11 +191,8 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
 # realization round-trips
 
 
-ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN = 0, 12
-
-
 def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
-    check_range("max_len", max_len, ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN)
+    check_range("max_len", max_len, *SUITE_BOUNDS["roundtrip"])
     gen_bound = min(max_len, 10)
 
     def read_back(w):
@@ -224,11 +215,8 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
 # leaf equivalence
 
 
-LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN = 0, 8
-
-
 def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
-    check_range("max_len", max_len, LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN)
+    check_range("max_len", max_len, *SUITE_BOUNDS["leaf-equivalence"])
     all_words = _all_words(max_len)
     lfs = {w: catseq.leaf_function_caterpillar(words.rc(w)) for w in all_words}
     profs = {w: words.f1_profile(w) for w in all_words}
@@ -246,11 +234,10 @@ def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
 # tree census
 
 SMALLEST_NON_PN_TREE_WORD = "1101011011"
-TREES_MIN_N, TREES_MAX_N = 3, 13
 
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
-    check_range("max_n", max_n, TREES_MIN_N, TREES_MAX_N)
+    check_range("max_n", max_n, *SUITE_BOUNDS["trees"])
     # the generator's level sequences go straight to the tree DP; every tree
     # of the census shares the DP's memo of rooted subtrees and resumes the
     # root's merges of the tree before it, and each distinct word is decided once
@@ -275,17 +262,7 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     return reports
 
 
-# suite name -> the range of its bound
-SUITE_BOUNDS = {
-    "poset": (POSET_MIN_SIZE, POSET_MAX_SIZE),
-    "morphism": (MORPHISM_MIN_LEN, MORPHISM_MAX_LEN),
-    "roundtrip": (ROUNDTRIP_MIN_LEN, ROUNDTRIP_MAX_LEN),
-    "leaf-equivalence": (LEAF_EQUIVALENCE_MIN_LEN, LEAF_EQUIVALENCE_MAX_LEN),
-    "trees": (TREES_MIN_N, TREES_MAX_N),
-}
 SUITES = tuple(SUITE_BOUNDS)
-# accepted alternate spellings for the suite selector
-SUITE_ALIASES = {"theorem53": "roundtrip", "theorem61": "leaf-equivalence"}
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:

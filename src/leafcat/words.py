@@ -11,12 +11,7 @@ from itertools import accumulate, product
 from operator import sub
 from typing import Iterator
 
-from .bounds import check_range
-
-ENUM_MAX_LEN = 22
-# the longest word a public function takes; F1 profiles are O(n^2), and pnf
-# takes about 0.9 s at this length (one core of a 2-vCPU VM)
-WORD_MAX_LEN = 5000
+from .bounds import ENUM_MAX_LEN, K_MAX, WORD_MAX_LEN, check_range
 
 
 def check_binary(w: str) -> None:
@@ -73,11 +68,6 @@ def pn_violation(w: str):
             j = next(j for j in range(len(w) - length + 1) if pre[j + length] - pre[j] > limit)
             return w[:length], w[j : j + length]
     return None
-
-
-# the largest k of is_k_prefix_normal; no factor of a word of at most
-# WORD_MAX_LEN letters has more ones than that
-K_MAX = WORD_MAX_LEN
 
 
 def is_k_prefix_normal(w: str, k: int) -> bool:

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import leafcat
-from leafcat import catseq, graph, verify, words
+from leafcat import bounds, catseq, graph, verify, words
+from leafcat.bounds import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
 from leafcat.cli import main
 from leafcat.graph import read_edge_list, wheel, write_edge_list
-from leafcat.subtrees import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
 
 
 def run(capsys, *argv):
@@ -64,10 +64,8 @@ def test_generate_highlight_needs_dot(capsys):
     (["realize", "0,0,x"], "L(2)='x' is not an integer"),
     (["realize", "0,,1"], "L(1)='' is not an integer"),
     (["leaf-function", "--family", "wheel"], "--family requires --param"),
-    (["rc", "0101", "--empty"], "give a word or --empty, not both"),
-    (["pnf"], "missing word (use --empty for the empty word)"),
 ], ids=["generate-param", "leaf-word-param", "realize-entry", "realize-empty-entry",
-        "family-without-param", "word-and-empty", "missing-word"])
+        "family-without-param"])
 def test_non_integer_argument_exits_2(capsys, argv, message):
     # a message meant for users, naming the flag or entry and its value, not
     # Python's own int() message
@@ -143,8 +141,10 @@ def test_rc_and_word_of_roundtrip(capsys):
 
 
 def test_rc_empty(capsys):
-    code, out, _ = run(capsys, "rc", "--empty")
-    assert code == 0 and out.strip() == "2"
+    # the empty word is given as an empty argument
+    assert run(capsys, "rc", "") == (0, "2\n", "")
+    assert run(capsys, "pnf", "") == (0, "\n", "")
+    assert run(capsys, "check-pn", "") == (0, "prefix normal\n", "")
 
 
 def test_pnf(capsys):
@@ -196,6 +196,12 @@ def test_realize_json(capsys):
     code, out, _ = run(capsys, "--json", "realize", "0,0,2,2,3,4,4,5,5,6")
     assert code == 0
     assert json.loads(out) == {"realizable": True, "sequence": "3,1,2"}
+    # a vector that is no leaf function is rejected in JSON too
+    assert run(capsys, "realize", "0,1") == (1, "rejected: L(1) must be 0\n", "")
+    code, out, err = run(capsys, "--json", "realize", "0,1")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"realizable": False, "reason": "not-a-leaf-function",
+                               "witness": None}
 
 
 def test_poset(capsys):
@@ -242,6 +248,9 @@ def test_verify_json(capsys):
 
 def test_usage_errors_exit_2(capsys, no_work):
     assert run(capsys, "rc", "012")[0] == 2
+    for command in ("rc", "pnf", "check-pn"):  # the word is required
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "") and "the following arguments are required: word" in err
     assert run(capsys, "leaf-function")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "leaf-function", "/nonexistent/path")[0] == 2
@@ -337,6 +346,7 @@ WORD_MODULES = {"cli", "bounds", "words", "catseq"}
 @pytest.mark.parametrize("commands, modules", [
     ([["rc", "0101"], ["pnf", "0101"], ["word-of", "1,1,2"], ["check-pn", "1010"],
       ["poset", "--max-size", "3"], ["--help"]], WORD_MODULES),
+    ([["generate", "--help"], ["leaf-function", "--help"], ["verify", "--help"]], WORD_MODULES),
     ([["equiv", "01", "10"], ["realize", "0,0,2,2"]], WORD_MODULES | {"subtrees", "leafwords"}),
     ([["generate", "--family", "chain", "--param", "3"]], WORD_MODULES | {"graph"}),
     ([["leaf-function", "--family", "chain", "--param", "3"]],
@@ -345,7 +355,8 @@ WORD_MODULES = {"cli", "bounds", "words", "catseq"}
      WORD_MODULES | {"graph", "subtrees", "leafwords"}),
     ([["verify", "--suite", "poset", "--max-n", "3"]],
      WORD_MODULES | {"subtrees", "leafwords", "verify"}),
-], ids=["word-commands", "equiv-realize", "generate", "leaf-function", "leaf-word", "verify"])
+], ids=["word-commands", "command-help", "equiv-realize", "generate", "leaf-function",
+        "leaf-word", "verify"])
 def test_cold_start_table(commands, modules):
     script = (
         "import contextlib, io, sys\n"
@@ -381,20 +392,20 @@ def test_help_prints_the_caps(capsys, monkeypatch):
         return out
 
     suites = help_text("verify")
-    for suite, (low, high) in verify.SUITE_BOUNDS.items():
+    for suite, (low, high) in bounds.SUITE_BOUNDS.items():
         assert f"{suite} {low}..{high}" in suites
-    assert "{all," + ",".join([*verify.SUITES, *verify.SUITE_ALIASES]) + "}" in suites
-    params = (f"wheel 3..{graph.WHEEL_MAX_N}, star 0..{graph.STAR_MAX_M}, "
-              f"chain 1..{graph.CHAIN_MAX_N}, fk 1..{graph.FK_MAX_K}, or a caterpillar "
-              f"sequence of size 3..{graph.GRAPH_MAX_N}")
+    assert "{all," + ",".join([*bounds.SUITE_BOUNDS, *bounds.SUITE_ALIASES]) + "}" in suites
+    params = (f"wheel 3..{bounds.WHEEL_MAX_N}, star 0..{bounds.STAR_MAX_M}, "
+              f"chain 1..{bounds.CHAIN_MAX_N}, fk 1..{bounds.FK_MAX_K}, or a caterpillar "
+              f"sequence of size 3..{bounds.GRAPH_MAX_N}")
     assert params in help_text("generate")
     for command in ("leaf-function", "leaf-word"):
         out = help_text(command)
         assert params in out
         assert f"brute-force bound 0..{BRUTEFORCE_MAX_N} " in out
         assert f"(default {DEFAULT_MAX_N})" in out
-        assert f"caterpillar sequence of size 3..{words.WORD_MAX_LEN + 3}," in out
-    assert f"largest sequence size, 0..{catseq.HASSE_MAX_SIZE} (default 6)" in help_text("poset")
+        assert f"caterpillar sequence of size 3..{bounds.WORD_MAX_LEN + 3}," in out
+    assert f"largest sequence size, 0..{bounds.HASSE_MAX_SIZE} (default 6)" in help_text("poset")
 
 
 def test_python_m_leafcat_cli():
@@ -473,14 +484,12 @@ def test_bounded_flag_out_of_range_exits_2(capsys, no_work, argv, rejection):
 
 def test_machine_outputs_reparse(capsys):
     # values printed in machine format re-parse to equal values
-    from leafcat import catseq as cs
-    from leafcat.subtrees import LeafFunction
+    from leafcat.subtrees import NEG_INF, LeafFunction, leaf_function_bruteforce
 
     code, out, _ = run(capsys, "--json", "leaf-function", "--family", "wheel", "--param", "6")
-    lf = LeafFunction.from_json(out)
-    from leafcat.graph import wheel as mk
-    from leafcat.subtrees import leaf_function_bruteforce
-
-    assert lf == leaf_function_bruteforce(mk(6))
+    assert out == '{"n": 7, "values": [0, 0, 2, 2, 3, 2, "-inf", "-inf"]}\n'
+    data = json.loads(out)
+    lf = LeafFunction(data["n"], tuple(NEG_INF if v == "-inf" else v for v in data["values"]))
+    assert lf == leaf_function_bruteforce(wheel(6))
     code, out, _ = run(capsys, "rc", "0101")
-    assert cs.parse_sequence(out.strip()) == (1, 1, 2)
+    assert catseq.parse_sequence(out.strip()) == (1, 1, 2)

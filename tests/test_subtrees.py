@@ -1,6 +1,5 @@
 import copy
 import itertools
-import json
 import pickle
 import random
 import tracemalloc
@@ -50,13 +49,6 @@ def test_leaf_function_validation():
     for values, bad in (((0, 0, True), True), ((0, False, 1), False), ((False, 0, 1), False)):
         with pytest.raises(ValueError, match=f"bad leaf-function value {bad}"):  # not a bool
             LeafFunction(2, values)
-
-
-def test_json_roundtrip():
-    lf = leaf_function_bruteforce(wheel(10))
-    data = json.loads(lf.to_json())
-    assert data["values"][-1] == "-inf"
-    assert LeafFunction.from_json(lf.to_json()) == lf
 
 
 def test_sentinels_keep_repr_and_identity():

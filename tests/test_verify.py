@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from leafcat import subtrees, verify, words
+from leafcat.bounds import SUITE_BOUNDS
 from leafcat.cli import main
 from leafcat.subtrees import LeafFunction
 
@@ -34,29 +35,22 @@ def rejection(suite, value):
     """The pattern of a suite's rejection of `value`: its bound's name, the
     value and both ends of the suite's range."""
     name = next(iter(inspect.signature(suite).parameters))
-    low, high = verify.SUITE_BOUNDS[suite.__name__.removeprefix("suite_").replace("_", "-")]
+    low, high = SUITE_BOUNDS[suite.__name__.removeprefix("suite_").replace("_", "-")]
     return re.escape(f"{name}={value} outside {low}..{high}")
 
 
-@pytest.mark.parametrize("suite, cap", [
-    (verify.suite_poset, verify.POSET_MAX_SIZE),
-    (verify.suite_morphism, verify.MORPHISM_MAX_LEN),
-    (verify.suite_roundtrip, verify.ROUNDTRIP_MAX_LEN),
-    (verify.suite_leaf_equivalence, verify.LEAF_EQUIVALENCE_MAX_LEN),
-    (verify.suite_trees, verify.TREES_MAX_N),
-])
+# (suite function, the low end of its range, its cap), from the one table
+SUITE_RANGES = [(getattr(verify, f"suite_{name.replace('-', '_')}"), low, high)
+                for name, (low, high) in SUITE_BOUNDS.items()]
+
+
+@pytest.mark.parametrize("suite, cap", [(suite, high) for suite, _, high in SUITE_RANGES])
 def test_suite_rejects_bound_above_cap(suite, cap, no_enumeration):
     with pytest.raises(ValueError, match=rejection(suite, cap + 1)):
         suite(cap + 1)
 
 
-minimums = pytest.mark.parametrize("suite, low", [
-    (verify.suite_poset, verify.POSET_MIN_SIZE),
-    (verify.suite_morphism, verify.MORPHISM_MIN_LEN),
-    (verify.suite_roundtrip, verify.ROUNDTRIP_MIN_LEN),
-    (verify.suite_leaf_equivalence, verify.LEAF_EQUIVALENCE_MIN_LEN),
-    (verify.suite_trees, verify.TREES_MIN_N),
-])
+minimums = pytest.mark.parametrize("suite, low", [(suite, low) for suite, low, _ in SUITE_RANGES])
 
 
 @minimums
