@@ -16,7 +16,7 @@ import sys
 
 from . import catseq, words
 from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, DEFAULT_MAX_N, FK_MAX_K, GRAPH_MAX_N,
-                     HASSE_MAX_SIZE, STAR_MAX_M, SUITE_ALIASES, SUITE_BOUNDS, WHEEL_MAX_N,
+                     HASSE_MAX_SIZE, K_MAX, STAR_MAX_M, SUITE_ALIASES, SUITE_BOUNDS, WHEEL_MAX_N,
                      WORD_MAX_LEN, check_range)
 
 # family -> the name of its generator in `graph`, looked up when called
@@ -63,6 +63,7 @@ def _integer(name: str, text: str) -> int:
 PARAM_HELP = (f"family parameter: wheel 3..{WHEEL_MAX_N}, star 0..{STAR_MAX_M}, "
               f"chain 1..{CHAIN_MAX_N}, fk 1..{FK_MAX_K}, or a caterpillar "
               f"sequence of size 3..{GRAPH_MAX_N}")
+WORD_HELP = f"binary word of at most {WORD_MAX_LEN} letters"
 
 
 def _graph_input_args(p: argparse.ArgumentParser) -> None:
@@ -95,18 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     _graph_input_args(sub.add_parser("leaf-word", help="leaf word of a graph"))
 
     for name in ("rc", "pnf"):
-        sub.add_parser(name).add_argument("word")
+        sub.add_parser(name).add_argument("word", help=WORD_HELP)
 
     p = sub.add_parser("word-of", help="binary word of a caterpillar sequence")
-    p.add_argument("sequence")
+    p.add_argument("sequence", help=f"caterpillar sequence of size 3..{WORD_MAX_LEN + 3}")
 
     p = sub.add_parser("check-pn", help="prefix normality (or k-prefix normality)")
-    p.add_argument("word")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("word", help=WORD_HELP)
+    p.add_argument("--k", type=int, default=0,
+                   help=f"k-prefix normality for k in 0..{K_MAX} (default 0: prefix normality)")
 
     p = sub.add_parser("equiv", help="same maximal-ones profile?")
-    p.add_argument("word1")
-    p.add_argument("word2")
+    p.add_argument("word1", help=WORD_HELP)
+    p.add_argument("word2", help=WORD_HELP)
 
     p = sub.add_parser("realize", help="caterpillar realizing a leaf-function vector")
     p.add_argument("values", help="comma-separated values, -inf allowed")
@@ -124,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _show(args, data, text: str) -> None:
-    """Print `data` as JSON under --json, else `text`."""
+def _show(args, data, text: str, end: str = "\n") -> None:
+    """Print `data` as one line of JSON under --json, else `text` and `end`."""
     if args.json:
         import json
 
-        text = json.dumps(data)
-    print(text)
+        text, end = json.dumps(data), "\n"
+    print(text, end=end)
 
 
 def _run(args) -> int:
@@ -145,9 +147,10 @@ def _run(args) -> int:
         g = _build_family(args.family, args.param)
         if args.dot:
             highlight = args.highlight.split(",") if args.highlight else ()
-            sys.stdout.write(graph.to_dot(g, [_integer("vertex", x) for x in highlight]))
+            dot = graph.to_dot(g, [_integer("vertex", x) for x in highlight])
+            _show(args, {"dot": dot}, dot, end="")
         else:
-            sys.stdout.write(graph.write_edge_list(g))
+            _show(args, {"n": g.n, "edges": g.sorted_edges()}, graph.write_edge_list(g), end="")
         return 0
 
     if args.command == "leaf-function":
@@ -225,10 +228,12 @@ def _run(args) -> int:
 
     if args.command == "poset":
         if args.dot:
-            sys.stdout.write(catseq.hasse_dot(args.max_size))
+            dot = catseq.hasse_dot(args.max_size)
+            _show(args, {"dot": dot}, dot, end="")
         else:
-            for lo, hi in sorted(catseq.hasse_covers(args.max_size)):
-                print(f"{catseq.format_sequence(lo)} < {catseq.format_sequence(hi)}")
+            covers = [[catseq.format_sequence(lo), catseq.format_sequence(hi)]
+                      for lo, hi in sorted(catseq.hasse_covers(args.max_size))]
+            _show(args, covers, "".join(f"{lo} < {hi}\n" for lo, hi in covers), end="")
         return 0
 
     if args.command == "verify":

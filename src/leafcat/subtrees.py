@@ -178,13 +178,13 @@ def leaf_function_tree(t: Graph) -> LeafFunction:
     levels = _preorder_levels(t)
     if len(levels) != t.n or len(t.edges) != t.n - 1:
         raise ValueError("leaf_function_tree requires a tree")
-    return _leaf_function_levels(levels, {})
+    return LeafFunction(t.n, _leaf_function_levels(levels, {}))
 
 
-def _leaf_function_levels(levels: list[int], memo: dict,
-                          chain: list | None = None) -> LeafFunction:
-    """L_T in O(n^2) of the tree with preorder level sequence `levels`, after
-    Blondin Masse et al., "Fully leafed induced subtrees" (arXiv:1709.09808).
+def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = None) -> tuple:
+    """The values of L_T, in O(n^2), of the tree with preorder level sequence
+    `levels`, after Blondin Masse et al., "Fully leafed induced subtrees"
+    (arXiv:1709.09808).
 
     Every subtree S has a top vertex v, the one nearest the root.  A knapsack
     over v's children records, per size of S and per number of chosen
@@ -192,10 +192,12 @@ def _leaf_function_levels(levels: list[int], memo: dict,
     leaf of S when its parent is in S and it has no chosen child, or when it
     is the top and has exactly one.  A vertex closes once its subtree has
     been walked, merges into its parent's knapsack and is dropped, so the live
-    rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices is looked up
-    in `memo` by its shape, its slice of `levels` less its own depth, and on a
-    hit is merged without being walked; the memo holds its "under parent" row
-    and the best leaf counts of the sets topped inside it.
+    rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices other than
+    the whole tree is looked up in `memo` by its shape, its slice of `levels`
+    less its own depth, and on a hit is merged without being walked; the memo
+    holds its "under parent" row and the best leaf counts of the sets topped
+    inside it.  The root closes last and has no parent: its counts are the
+    values, returned unchecked.
 
     A `chain` list, when given, carries the root's merges from call to call:
     at each root child after the first, the levels up to and including it,
@@ -204,26 +206,25 @@ def _leaf_function_levels(levels: list[int], memo: dict,
     merge again only the root children that changed."""
     n = len(levels)
     best = [0] * (n + 1)
-    # the open vertices [depth, knapsack, memo key, inside] below a placeholder
-    # parent of the root, whose empty knapsack takes no merge; inside gathers the
-    # best leaf counts of the sets topped in the subtree: its own row when the
-    # subtree is memoised, else `best`
-    stack = [[-1, (), None, best]]
-    v = 0
+    # the open vertices [depth, knapsack, memo key, inside], the root first;
+    # inside gathers the best leaf counts of the sets topped in the subtree:
+    # its own row when the subtree is memoised, else `best`
+    stack = [[0, _ALONE, None, best]]
+    v = 1
     while True:
         d = levels[v] if v < n else 0  # at the end, close every vertex
         while stack[-1][0] >= d:
             _, (none, one, more), key, inside = stack.pop()
             for s in range(2, len(none)):
                 inside[s] = max(inside[s], one[s] + 1, more[s])
+            if not stack:  # the root
+                return tuple(best)
             # the most leaves of a set of s vertices topped by v, counting v,
             # when v's parent is in the set too
             under = tuple([max(none[s] + 1, one[s], more[s]) for s in range(1, len(none))])
             if key is not None:
                 memo[key] = under, tuple(inside)
             _merge_up(stack[-1], under, inside)
-        if v == n:
-            return LeafFunction(n, tuple(best))
         if d == 1 and chain is not None:  # the root has merged its children before v
             root = stack[-1]
             if v > 1:
@@ -251,16 +252,16 @@ def _leaf_function_levels(levels: list[int], memo: dict,
 
 def _merge_up(parent: list, under: tuple, inside) -> None:
     """Merge a closed subtree's two rows into its parent's stack entry."""
-    rows = parent[1]
-    grown = [row + [_NONE] * len(under) for row in rows]
-    sub = list(enumerate(under, 1))
-    for c, row in enumerate(rows):
-        out = grown[min(c + 1, 2)]
+    none, one, more = parent[1]
+    pad = [_NONE] * len(under)
+    grown = none + pad, one + pad, more + pad
+    # the subtree is one more chosen child: none -> one, one and more -> more
+    for row, out in ((none, grown[1]), (one, grown[2]), (more, grown[2])):
         for s, a in enumerate(row):
             if a >= 0:
-                for k, b in sub:
-                    if a + b > out[s + k]:
-                        out[s + k] = a + b
+                for t, b in enumerate(under, s + 1):
+                    if a + b > out[t]:
+                        out[t] = a + b
     parent[1] = grown
     target = parent[3]
     if inside is not target:

@@ -12,7 +12,7 @@ from itertools import chain, combinations, groupby
 from . import catseq, words
 from .bounds import SUITE_ALIASES, SUITE_BOUNDS, Record, check_range
 from .leafwords import delta_leaf_word, format_leaf_word
-from .subtrees import _free_tree_levels, _leaf_function_levels
+from .subtrees import LeafFunction, _free_tree_levels, _leaf_function_levels
 
 
 class VerifyReport(Record):
@@ -240,14 +240,17 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     check_range("max_n", max_n, *SUITE_BOUNDS["trees"])
     # the generator's level sequences go straight to the tree DP; every tree
     # of the census shares the DP's memo of rooted subtrees and resumes the
-    # root's merges of the tree before it, and each distinct word is decided once
+    # root's merges of the tree before it, and each distinct leaf function is
+    # checked, read as a word and decided once
     memo, chain, verdicts = {}, [], {}
 
     def normal(levels):
-        w = format_leaf_word(delta_leaf_word(_leaf_function_levels(levels, memo, chain)))
-        if w not in verdicts:
-            verdicts[w] = words.is_prefix_normal(w)
-        if not verdicts[w]:
+        values = _leaf_function_levels(levels, memo, chain)
+        if values not in verdicts:
+            w = format_leaf_word(delta_leaf_word(LeafFunction(len(levels), values)))
+            verdicts[values] = w, words.is_prefix_normal(w)
+        w, ok = verdicts[values]
+        if not ok:
             yield f"n={len(levels)} word={w}"
 
     trees = (lv for n in range(3, min(max_n, 12) + 1) for lv in _free_tree_levels(n))

@@ -40,6 +40,19 @@ def test_generate_dot(capsys):
     assert "0 [color=blue];" in out and "2 [color=blue];" in out
 
 
+def test_generate_json(capsys):
+    code, out, err = run(capsys, "--json", "generate", "--family", "wheel", "--param", "10")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data == {"n": 11, "edges": [list(e) for e in wheel(10).sorted_edges()]}
+    assert write_edge_list(graph.Graph(data["n"], {tuple(e) for e in data["edges"]})) == \
+        run(capsys, "generate", "--family", "wheel", "--param", "10")[1]
+    argv = ["generate", "--family", "chain", "--param", "3", "--dot", "--highlight", "0,2"]
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"dot": run(capsys, *argv)[1]}
+
+
 def test_generate_dot_rejects_bad_highlight(capsys):
     for highlight, message in (("0,3", "vertex=3 outside 0..2"), ("-1", "vertex=-1 outside 0..2"),
                                ("0,x", "vertex='x' is not an integer"),
@@ -214,6 +227,20 @@ def test_poset(capsys):
 def test_poset_dot(capsys):
     code, out, _ = run(capsys, "poset", "--max-size", "5", "--dot")
     assert code == 0 and out.startswith("digraph hasse {")
+
+
+def test_poset_json(capsys):
+    code, out, err = run(capsys, "--json", "poset", "--max-size", "6")
+    assert (code, err) == (0, "")
+    covers = json.loads(out)
+    text = run(capsys, "poset", "--max-size", "6")[1]
+    assert text == "".join(f"{lo} < {hi}\n" for lo, hi in covers)
+    assert ["1,1", "1,2"] in covers and len(covers) == len(catseq.hasse_covers(6))
+    # no covers: no text line, and one empty JSON list
+    assert run(capsys, "poset", "--max-size", "3") == (0, "", "")
+    assert run(capsys, "--json", "poset", "--max-size", "3") == (0, "[]\n", "")
+    code, out, _ = run(capsys, "--json", "poset", "--max-size", "5", "--dot")
+    assert code == 0 and json.loads(out) == {"dot": catseq.hasse_dot(5)}
 
 
 def test_poset_rejects_a_negative_size(capsys):
@@ -406,6 +433,11 @@ def test_help_prints_the_caps(capsys, monkeypatch):
         assert f"(default {DEFAULT_MAX_N})" in out
         assert f"caterpillar sequence of size 3..{bounds.WORD_MAX_LEN + 3}," in out
     assert f"largest sequence size, 0..{bounds.HASSE_MAX_SIZE} (default 6)" in help_text("poset")
+    word = f"binary word of at most {bounds.WORD_MAX_LEN} letters"
+    for command in ("rc", "pnf", "check-pn", "equiv"):
+        assert word in help_text(command)
+    assert f"for k in 0..{bounds.K_MAX} " in help_text("check-pn")
+    assert f"caterpillar sequence of size 3..{bounds.WORD_MAX_LEN + 3}" in help_text("word-of")
 
 
 def test_python_m_leafcat_cli():

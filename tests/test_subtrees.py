@@ -404,7 +404,8 @@ def test_census_path_matches_tree_dp():
     for n in range(1, 14):
         for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
             assert levels[0] == 0 and all(1 <= levels[v] <= levels[v - 1] + 1 for v in range(1, n))
-            assert subtrees._leaf_function_levels(levels, {}) == leaf_function_tree(t), sorted(t.edges)
+            assert subtrees._leaf_function_levels(levels, {}) == leaf_function_tree(t).values, \
+                sorted(t.edges)
 
 
 def test_census_memo_matches_bruteforce():
@@ -413,8 +414,8 @@ def test_census_memo_matches_bruteforce():
     memo = {}
     for n in range(3, 12):
         for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
-            lf = subtrees._leaf_function_levels(levels, memo)
-            assert lf == leaf_function_bruteforce(t), sorted(t.edges)
+            values = subtrees._leaf_function_levels(levels, memo)
+            assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
     # a key is a subtree's shape: its level sequence read from its own root,
     # so one entry serves the subtree at every depth
     assert memo
@@ -449,6 +450,20 @@ def test_census_resume_matches_fresh_memo(monkeypatch):
     assert 4 * resumed < 3 * unchained and resumed_shuffled <= unchained
 
 
+def test_census_repeat_matches_bruteforce():
+    # each tree twice in a row through one memo and one chain: the second call
+    # resumes the whole root chain of the first.  Each tree is small enough to
+    # be a memo key, but the root is never looked up or stored, so no key has
+    # all n = 8 vertices
+    memo, chain = {}, []
+    for n in range(1, 9):
+        for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
+            want = leaf_function_bruteforce(t).values
+            for _ in range(2):
+                assert subtrees._leaf_function_levels(levels, memo, chain) == want, sorted(t.edges)
+    assert subtrees._MEMO_MAX_SIZE == 8 and max(map(len, memo)) < 8
+
+
 # one memo across every example, as the census shares one across its trees
 _SHARED_MEMO = {}
 
@@ -456,8 +471,8 @@ _SHARED_MEMO = {}
 @settings(max_examples=150, deadline=None)
 @given(random_trees(max_n=14))
 def test_shared_memo_matches_bruteforce_on_random_trees(t):
-    lf = subtrees._leaf_function_levels(_preorder_levels(t), _SHARED_MEMO)
-    assert lf == leaf_function_bruteforce(t), sorted(t.edges)
+    values = subtrees._leaf_function_levels(_preorder_levels(t), _SHARED_MEMO)
+    assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
 
 
 @st.composite

@@ -178,7 +178,7 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     def leaf_function(levels, memo, chain):
         n = len(levels)
         if n in broken:
-            return LeafFunction(n, broken.pop(n))
+            return broken.pop(n)
         return subtrees._leaf_function_levels(levels, memo, chain)
 
     monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
@@ -206,6 +206,22 @@ def test_tree_census_decides_each_word_once(monkeypatch, capsys):
     assert code == 0 and "instances=985 " in out and "instances=1301 " in out
     assert sum(decided.values()) == 511
     assert (sum(decided[n] for n in range(13)), decided[13]) == (292, 219)
+
+
+def test_tree_census_builds_each_leaf_function_once(monkeypatch, capsys):
+    # the DP returns bare values; only the 511 distinct leaf functions of the
+    # 2,286 trees on 3 to 13 vertices are checked and read as words
+    built = Counter()
+    init = LeafFunction.__init__
+
+    def counted(self, n, values):
+        built[values] += 1
+        init(self, n, values)
+
+    monkeypatch.setattr(LeafFunction, "__init__", counted)
+    code, out = run(capsys, "verify", "--suite", "trees", "--max-n", "13")
+    assert code == 0 and "instances=985 " in out and "instances=1301 " in out
+    assert (sum(built.values()), len(built)) == (511, 511)
 
 
 def test_tree_census_builds_no_graph(monkeypatch):
