@@ -199,8 +199,7 @@ def hasse_dot(max_size: int) -> str:
     """DOT digraph of the Hasse diagram, edges lower -> upper."""
     covers = sorted(hasse_covers(max_size))
     lines = ["digraph hasse {"]
-    names = sorted({s for pair in covers for s in pair} | set(all_sequences(max_size)))
-    for s in names:
+    for s in sorted(all_sequences(max_size)):
         lines.append(f'  "{format_sequence(s)}";')
     for lo, hi in covers:
         lines.append(f'  "{format_sequence(lo)}" -> "{format_sequence(hi)}";')

@@ -38,17 +38,8 @@ class Graph(Record):
         return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor lists."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-    @cached_property
     def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor sets as bitmasks, used by the enumeration engine."""
+        """Neighbor sets as bitmasks, the graph's one neighbor table."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v
@@ -56,7 +47,7 @@ class Graph(Record):
         return tuple(masks)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_masks[v].bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -79,14 +70,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 def _preorder_levels(g: Graph) -> list[int]:
     """The depths, in a depth-first preorder from vertex 0, of the vertices
     that vertex 0 reaches; a preorder level sequence when g is a tree."""
-    levels, stack, seen = [], [(0, 0)], {0}
+    adj = g.adj_masks
+    levels, stack, seen = [], [(0, 0)], 1
     while stack:
         v, d = stack.pop()
         levels.append(d)
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append((u, d + 1))
+        new = adj[v] & ~seen
+        seen |= new
+        while new:  # pushed in ascending order, which fixes the preorder
+            low = new & -new
+            new ^= low
+            stack.append((low.bit_length() - 1, d + 1))
     return levels
 
 

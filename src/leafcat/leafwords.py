@@ -113,21 +113,3 @@ def format_leaf_word(lw: LeafWord) -> str:
     if {0, 1}.issuperset(lw):
         return "".join(["01"[letter] for letter in lw])
     return ",".join("w" if letter is OMEGA else str(letter) for letter in lw)
-
-
-def parse_leaf_word(text: str) -> LeafWord:
-    if text == "":
-        return ()
-    if all(c in "01" for c in text):
-        return tuple(int(c) for c in text)
-    letters = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "w":
-            letters.append(OMEGA)
-        else:
-            try:
-                letters.append(int(part))
-            except ValueError as exc:
-                raise ValueError(f"bad leaf-word letter {part!r}") from exc
-    return tuple(letters)

@@ -1,9 +1,11 @@
 """Leaf functions: brute force on any graph, dynamic programming on trees.
 
-The brute-force engine grows connected vertex sets from each anchor vertex,
-restricted to vertices above the anchor, with exclusive-neighborhood
-extension so that every connected set is produced exactly once.  Sets are
-bitmasks internally.  It stays the oracle for the tree DP.
+The brute-force engine is one generator, `_induced_trees`.  It grows
+connected vertex sets from each anchor vertex, restricted to vertices above
+the anchor, with exclusive-neighborhood extension so that every connected set
+is produced exactly once, and yields the vertices and leaf count of each set
+that induces a tree.  Leaf functions, witnesses and the per-size enumeration
+all read it.  It stays the oracle for the tree DP.
 """
 
 from __future__ import annotations
@@ -58,50 +60,37 @@ class LeafFunction(Record):
         super().__init__(n=n, values=values)
 
 
-def _connected_set_masks(g: Graph, limit: int) -> Iterator[int]:
-    """All nonempty connected vertex sets of size <= max(limit, 1), each once.
+def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(vertices, leaf count) of each connected set of size <= max(limit, 1)
+    that induces a tree, each set once, its vertices in the order they joined.
 
     Deterministic order: anchors ascending, then depth-first with the lowest
-    available vertex extended first.
+    available vertex extended first.  Every connected set is visited and its
+    degrees counted over its own vertices; the non-trees are not yielded.
     """
     adj = g.adj_masks
 
-    def extend(s: int, size: int, ext: int, closed: int):
-        yield s
-        if size >= limit:
+    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int):
+        twice_edges = leaves = 0
+        for v in vs:
+            d = (adj[v] & s).bit_count()
+            twice_edges += d
+            if d == 1:
+                leaves += 1
+        if twice_edges == 2 * (len(vs) - 1):
+            yield vs, leaves
+        if len(vs) >= limit:
             return
         while ext:
             low = ext & -ext
             ext ^= low
             w = low.bit_length() - 1
             new_ext = ext | (adj[w] & above & ~closed)
-            yield from extend(s | low, size + 1, new_ext, closed | adj[w] | low)
+            yield from extend(s | low, vs + (w,), new_ext, closed | adj[w] | low)
 
     for v in range(g.n):
         above = -1 << (v + 1)
-        yield from extend(1 << v, 1, adj[v] & above, (1 << v) | adj[v])
-
-
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
-
-
-def _tree_stats(g: Graph, mask: int, vertices: tuple[int, ...]):
-    """(is_tree, leaf_count) for the induced subgraph on a connected set."""
-    adj = g.adj_masks
-    twice_edges = 0
-    leaves = 0
-    for v in vertices:
-        d = (adj[v] & mask).bit_count()
-        twice_edges += d
-        if d == 1:
-            leaves += 1
-    return twice_edges == 2 * (len(vertices) - 1), leaves
+        yield from extend(1 << v, (v,), adj[v] & above, (1 << v) | adj[v])
 
 
 def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
@@ -111,30 +100,23 @@ def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
     if i == 0:
         yield ()
         return
-    for mask in _connected_set_masks(g, i):
-        vs = _mask_vertices(mask)
-        if len(vs) != i:
-            continue
-        ok, _ = _tree_stats(g, mask, vs)
-        if ok:
-            yield vs
+    for vs, _ in _induced_trees(g, i):
+        if len(vs) == i:
+            yield tuple(sorted(vs))
 
 
 def _scan(g: Graph, limit: int):
-    """Best leaf count per size over the connected sets of at most `limit`
-    vertices, and the first witness mask attaining it (strict improvements
-    only: the earliest such set in enumeration order, which `limit` keeps)."""
+    """Best leaf count per size over the induced trees of at most `limit`
+    vertices, and the first witness attaining it, in join order (strict
+    improvements only: the earliest such set in enumeration order, which
+    `limit` keeps)."""
     best: list[int | None] = [0] + [None] * g.n
-    witness: list[int | None] = [0] + [None] * g.n
-    for mask in _connected_set_masks(g, limit):
-        vs = _mask_vertices(mask)
-        ok, leaves = _tree_stats(g, mask, vs)
-        if not ok:
-            continue
+    witness: list[tuple[int, ...] | None] = [()] + [None] * g.n
+    for vs, leaves in _induced_trees(g, limit):
         size = len(vs)
         if best[size] is None or leaves > best[size]:
             best[size] = leaves
-            witness[size] = mask
+            witness[size] = vs
     return best, witness
 
 
@@ -155,7 +137,7 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
     check_range("max_n", max_n, 0, BRUTEFORCE_MAX_N)
     check_range("n", g.n, 0, max_n)
     _, witness = _scan(g, i)
-    return None if witness[i] is None else _mask_vertices(witness[i])
+    return None if witness[i] is None else tuple(sorted(witness[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from leafcat.graph import (
     STAR_MAX_M,
     WHEEL_MAX_N,
     Graph,
+    _preorder_levels,
     caterpillar_graph,
     chain,
     fk_tree,
@@ -138,6 +139,13 @@ def test_is_tree_basics():
     assert is_tree(Graph.from_edges(0, []))  # the empty tree
     assert not is_tree(wheel(10))
     assert len(wheel(10).edges) == 20  # 2n edges != n-1 on 11 vertices
+
+
+def test_preorder_visits_the_highest_neighbor_first():
+    # neighbors are pushed in ascending order, so the walk pops the highest
+    assert _preorder_levels(Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])) == [0, 1, 2, 1]
+    # only what vertex 0 reaches
+    assert _preorder_levels(Graph.from_edges(6, [(0, 1), (0, 2), (2, 3), (4, 5)])) == [0, 1, 2, 1]
 
 
 def test_leaf_count():

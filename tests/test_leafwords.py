@@ -16,7 +16,6 @@ from leafcat.leafwords import (
     format_leaf_word,
     leaf_equivalent,
     leaf_function_from_word,
-    parse_leaf_word,
     realize_caterpillar,
 )
 from leafcat.subtrees import LeafFunction, leaf_function_bruteforce
@@ -177,9 +176,4 @@ def test_fully_leafed_from_corner_truncations():
 def test_leaf_word_text_format():
     lw = (1, 1, 1, -3, 0, 0, OMEGA, OMEGA)
     assert format_leaf_word(lw) == "1,1,1,-3,0,0,w,w"
-    assert parse_leaf_word("1,1,1,-3,0,0,w,w") == lw
     assert format_leaf_word((1, 1, 0, 1, 0, 1)) == "110101"
-    assert parse_leaf_word("110101") == (1, 1, 0, 1, 0, 1)
-    assert parse_leaf_word("") == ()
-    with pytest.raises(ValueError):
-        parse_leaf_word("1,q")

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 import random
@@ -115,16 +116,28 @@ def test_enumerate_subtrees_wheel4_size5():
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _neighbor_lists(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor lists read off the edge set, not off the graph's own
+    neighbor table."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
 def _subset_leaves(g: Graph, vs) -> int | None:
     """The leaf count of G[vs] if it is a tree (the empty set included), else
     None: read off the subset by hand, as an oracle for the enumeration."""
     inside = set(vs)
-    degree = {v: sum(u in inside for u in g.adj[v]) for v in vs}
+    adj = _neighbor_lists(g)
+    degree = {v: sum(u in inside for u in adj[v]) for v in vs}
     if vs and sum(degree.values()) != 2 * (len(vs) - 1):
         return None
     seen, frontier = set(vs[:1]), list(vs[:1])
     while frontier:
-        for u in g.adj[frontier.pop()]:
+        for u in adj[frontier.pop()]:
             if u in inside and u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -226,8 +239,24 @@ def test_witness_scan_stops_at_its_size():
     for g in graphs:
         _, full = subtrees._scan(g, g.n)
         for i in sorted({0, 1, 2, 4, 6, 8, g.n}):
-            expected = None if full[i] is None else subtrees._mask_vertices(full[i])
+            expected = None if full[i] is None else tuple(sorted(full[i]))
             assert fully_leafed_witness(g, i) == expected, (sorted(g.edges), i)
+
+
+def test_witness_is_the_first_maximizing_set():
+    # pinned enumeration order: anchors ascending, lowest vertex extended first
+    assert [fully_leafed_witness(wheel(12), i) for i in (4, 6, 8)] == [
+        (0, 2, 4, 12), (0, 2, 4, 6, 8, 12), (0, 1, 2, 3, 4, 5, 6, 7)]
+
+
+def test_enumeration_order_is_pinned():
+    rng = random.Random(7)
+    g = Graph.from_edges(9, [e for e in itertools.combinations(range(9), 2)
+                             if rng.random() < 0.35])
+    assert list(enumerate_induced_subtrees(g, 5)) == [
+        (0, 1, 3, 5, 7), (0, 1, 5, 6, 7), (0, 1, 3, 5, 8), (0, 1, 5, 6, 8), (0, 3, 4, 5, 6),
+        (0, 3, 4, 5, 8), (1, 2, 3, 5, 6), (1, 2, 3, 5, 7), (1, 2, 4, 6, 7), (1, 2, 4, 6, 8),
+        (1, 2, 5, 6, 8), (1, 2, 5, 7, 8), (2, 3, 4, 5, 6), (2, 3, 4, 5, 8)]
 
 
 def test_negative_size_rejected():
@@ -245,22 +274,23 @@ def test_neg_inf_suffix_invariant():
 
 def tree_canonical_form(g: Graph):
     """Canonical encoding of a tree: AHU form rooted at the center(s)."""
+    adj = _neighbor_lists(g)
 
     def encode(root: int, parent: int):
-        subs = sorted(encode(v, root) for v in g.adj[root] if v != parent)
+        subs = sorted(encode(v, root) for v in adj[root] if v != parent)
         return tuple(subs)
 
     if g.n == 0:
         return ()
     # peel leaves to find the 1 or 2 centers
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = [len(ns) for ns in adj]
     layer = [v for v in range(g.n) if deg[v] <= 1]
     remaining = set(range(g.n))
     while len(remaining) > 2:
         nxt = []
         for v in layer:
             remaining.discard(v)
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if u in remaining:
                     deg[u] -= 1
                     if deg[u] == 1:

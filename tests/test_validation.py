@@ -123,7 +123,7 @@ NOT_CHECKING = {
     "words": {"enumerate_pnw"},
     "catseq": {"all_sequences", "hasse_covers", "hasse_dot", "format_sequence"},
     "leafwords": {"delta_leaf_word", "classify_leaf_word", "realize_caterpillar",
-                  "format_leaf_word", "parse_leaf_word"},
+                  "format_leaf_word"},
 }
 
 
