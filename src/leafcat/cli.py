@@ -41,7 +41,7 @@ def _input_leaf_function(args):
         raise ValueError("--family requires --param")
     if args.param is not None and not args.family:
         raise ValueError("--param requires --family")
-    if args.caterpillar:
+    if args.caterpillar is not None:
         return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
     if args.family:
         g = _build_family(args.family, args.param)

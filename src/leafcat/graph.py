@@ -9,8 +9,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .bounds import (CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M, WHEEL_MAX_N, Record,
-                     check_range)
+from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M,
+                     WHEEL_MAX_N, Record, check_range)
 
 
 class Graph(Record):
@@ -19,6 +19,8 @@ class Graph(Record):
     Graphs are equal, and hash alike, when their n and edge sets are."""
 
     _fields = ("n", "edges")
+    # one tuple per vertex pair below BRUTEFORCE_MAX_N: graphs held at once share their edges
+    _shared_edges = {(u, v): (u, v) for v in range(BRUTEFORCE_MAX_N) for u in range(v)}
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         check_range("n", n, 0, GRAPH_MAX_N)
@@ -34,8 +36,9 @@ class Graph(Record):
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, canonicalizing and deduplicating edges."""
-        return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
+        """Build a graph, canonicalizing and deduplicating edges; small ones are shared."""
+        canonical = ((min(u, v), max(u, v)) for u, v in edges)
+        return Graph(n, frozenset(Graph._shared_edges.get(e, e) for e in canonical))
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:

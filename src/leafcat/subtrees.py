@@ -3,9 +3,9 @@
 The brute-force engine is one generator, `_induced_trees`.  It grows
 connected vertex sets from each anchor vertex, restricted to vertices above
 the anchor, with exclusive-neighborhood extension so that every connected set
-is produced exactly once, and yields the vertices and leaf count of each set
-that induces a tree.  Leaf functions, witnesses and the per-size enumeration
-all read it.  It stays the oracle for the tree DP.
+is produced exactly once.  It keeps each set's leaf count per step and walks
+a set with a cycle but never yields it.  Leaf functions, witnesses and the
+per-size enumeration all read it.  It stays the oracle for the tree DP.
 """
 
 from __future__ import annotations
@@ -64,20 +64,13 @@ def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]
     """(vertices, leaf count) of each connected set of size <= max(limit, 1)
     that induces a tree, each set once, its vertices in the order they joined.
 
-    Deterministic order: anchors ascending, then depth-first with the lowest
-    available vertex extended first.  Every connected set is visited and its
-    degrees counted over its own vertices; the non-trees are not yielded.
+    Order: anchors ascending, then depth-first, lowest available vertex first.
+    Leaf counts carry over in O(1) per step; a cyclic set (None) is walked, never yielded.
     """
     adj = g.adj_masks
 
-    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int):
-        twice_edges = leaves = 0
-        for v in vs:
-            d = (adj[v] & s).bit_count()
-            twice_edges += d
-            if d == 1:
-                leaves += 1
-        if twice_edges == 2 * (len(vs) - 1):
+    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int, leaves: int | None):
+        if leaves is not None:
             yield vs, leaves
         if len(vs) >= limit:
             return
@@ -85,12 +78,17 @@ def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]
             low = ext & -ext
             ext ^= low
             w = low.bit_length() - 1
+            inside = adj[w] & s
+            grown = None  # w closes a cycle, or s already has one
+            if leaves is not None and not inside & (inside - 1):
+                d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
+                grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
             new_ext = ext | (adj[w] & above & ~closed)
-            yield from extend(s | low, vs + (w,), new_ext, closed | adj[w] | low)
+            yield from extend(s | low, vs + (w,), new_ext, closed | adj[w] | low, grown)
 
     for v in range(g.n):
         above = -1 << (v + 1)
-        yield from extend(1 << v, (v,), adj[v] & above, (1 << v) | adj[v])
+        yield from extend(1 << v, (v,), adj[v] & above, (1 << v) | adj[v], 0)
 
 
 def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:

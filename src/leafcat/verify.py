@@ -26,8 +26,7 @@ class VerifyReport(Record):
                          seconds=seconds, notes=notes)
 
     def to_dict(self) -> dict:
-        return {"claim": self.claim, "bound": self.bound, "instances": self.instances,
-                "failures": list(self.failures), "seconds": self.seconds, "notes": self.notes}
+        return {**{f: getattr(self, f) for f in self._fields}, "failures": list(self.failures)}
 
     @property
     def passed(self) -> bool:

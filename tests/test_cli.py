@@ -133,6 +133,13 @@ def test_brute_force_bound_past_its_ceiling(capsys):
     assert (code, out, err) == (2, "", f"error: max_n=1000 outside 0..{BRUTEFORCE_MAX_N}\n")
 
 
+def test_empty_caterpillar_exits_2(capsys):
+    # an empty sequence is a bad caterpillar, reported as one, not a traceback
+    for command in ("leaf-function", "leaf-word"):
+        assert run(capsys, command, "--caterpillar", "") == (
+            2, "", "error: bad caterpillar sequence: ''\n")
+
+
 def test_tree_output_matches_brute_force(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tree.txt"
     path.write_text("7 6\n0 1\n1 2\n1 3\n3 4\n4 5\n4 6\n")

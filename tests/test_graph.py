@@ -111,6 +111,17 @@ def test_from_edges_dedups():
     assert len(g.edges) == 1
 
 
+def test_from_edges_shares_small_edge_tuples():
+    # graphs held at once store an edge on small vertices once; equality and
+    # the canonical (min, max) order are unchanged
+    def edge(g, e):
+        return next(x for x in g.edges if x == e)
+
+    a, b = Graph.from_edges(30, [(1, 0), (28, 29)]), read_edge_list("30 2\n0 1\n29 28\n")
+    assert a == b and sorted(a.edges) == [(0, 1), (28, 29)]
+    assert edge(a, (0, 1)) is edge(b, (0, 1)) is edge(wheel(5), (0, 1))
+
+
 def test_induced_subgraph_edge():
     g = chain(3)
     sub = induced_subgraph(g, {0, 1})

@@ -194,6 +194,38 @@ def test_witness_is_fully_leafed_on_random_graphs(g, data):
         assert _subset_leaves(g, witness) == best
 
 
+def _assert_leaf_counts_carried(g: Graph):
+    # every yielded count is the subset's own, and the yielded sets are
+    # exactly the induced trees, each once
+    yielded = list(subtrees._induced_trees(g, g.n))
+    for vs, leaves in yielded:
+        assert leaves == _subset_leaves(g, vs), (sorted(g.edges), vs)
+    trees = [vs for i in range(1, g.n + 1) for vs in itertools.combinations(range(g.n), i)
+             if _subset_leaves(g, vs) is not None]
+    assert sorted(tuple(sorted(vs)) for vs, _ in yielded) == sorted(trees), sorted(g.edges)
+
+
+def test_leaf_counts_carried_on_families():
+    graphs = [Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in range(2, 9)]
+    graphs += [wheel(n) for n in range(3, 10)] + [fk_tree(1), chain(12), star(10)]
+    for g in graphs:
+        _assert_leaf_counts_carried(g)
+
+
+@st.composite
+def graphs_at_density(draw, tenths, max_n=10):
+    # each pair is an edge with probability tenths / 10
+    n = draw(st.integers(0, max_n))
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if draw(st.integers(0, 9)) < tenths])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs_at_density(8), graphs_at_density(2)))
+def test_leaf_counts_carried_on_random_graphs(g):
+    _assert_leaf_counts_carried(g)
+
+
 def test_witness_chain3():
     assert fully_leafed_witness(chain(3), 3) == (0, 1, 2)
 
