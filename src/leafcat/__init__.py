@@ -10,8 +10,9 @@ from importlib import import_module
 _PUBLIC = {
     "graph": ("Graph", "caterpillar_graph", "chain", "fk_tree", "induced_subgraph", "is_tree",
               "leaf_count", "star", "wheel"),
-    "subtrees": ("NEG_INF", "LeafFunction", "enumerate_free_trees", "enumerate_induced_subtrees",
-                 "fully_leafed_witness", "leaf_function_bruteforce", "leaf_function_tree"),
+    "bounds": ("NEG_INF", "LeafFunction"),
+    "subtrees": ("enumerate_free_trees", "enumerate_induced_subtrees", "fully_leafed_witness",
+                 "leaf_function_bruteforce", "leaf_function_tree"),
     "catseq": ("decompose", "graft", "hasse_covers", "is_subsequence", "leaf_function_caterpillar",
                "leaves", "left", "reversal", "right", "size", "spine_degrees", "word_of"),
     "words": ("enumerate_pnw", "equivalent", "f1", "f1_profile", "is_k_prefix_normal",
@@ -20,7 +21,7 @@ _PUBLIC = {
                   "leaf_function_from_word", "realize_caterpillar"),
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}
-_MODULES = ("bounds", *_PUBLIC)
+_MODULES = tuple(_PUBLIC)
 
 __all__ = sorted([*_SOURCE, *_MODULES])
 

@@ -1,5 +1,8 @@
 """The size cap of every entry point, the one range check that enforces them,
-and the one value-class base."""
+and the value types every layer shares: the value-class base `Record`, the
+`Sentinel` markers `NEG_INF` and `OMEGA`, and `LeafFunction`."""
+
+from enum import Enum
 
 # the most vertices of any graph; the tree DP is O(n^2) and takes about 0.5 s
 # on a 1,000-vertex chain (one core of a 2-vCPU VM)
@@ -41,7 +44,9 @@ SUITE_ALIASES = {"theorem53": "roundtrip", "theorem61": "leaf-equivalence"}
 
 
 def check_range(name: str, value: int, low: int, high: int) -> None:
-    """Reject `value` outside low..high, by name, before any work starts."""
+    """Reject `value` outside low..high, or not an int, by name, before any work starts."""
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"{name}={value!r} is not an integer")
     if not low <= value <= high:
         raise ValueError(f"{name}={value} outside {low}..{high}")
 
@@ -79,3 +84,44 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
+
+
+class Sentinel(Enum):
+    """The two marker values, compared by identity.  Not numbers on purpose:
+    arithmetic with them must be handled explicitly, never silently."""
+
+    NEG_INF = "-inf"  # the value of an empty maximum
+    OMEGA = "w"  # a leaf-word letter next to an empty maximum
+
+    def __repr__(self):
+        return self.value
+
+    __str__ = __repr__
+
+
+NEG_INF = Sentinel.NEG_INF
+
+
+class LeafFunction(Record):
+    """Values of L_G: max leaves over induced subtrees of each size 0..n.
+
+    Immutable; equal, and hashed alike, when n and the values are."""
+
+    _fields = ("n", "values")
+
+    def __init__(self, n: int, values: tuple):
+        if len(values) != n + 1:
+            raise ValueError(f"expected {n + 1} values, got {len(values)}")
+        if values[0] != 0:
+            raise ValueError("L(0) must be 0")
+        if n >= 1 and values[1] != 0:
+            raise ValueError("L(1) must be 0")
+        seen_inf = False
+        for v in values:
+            if v is NEG_INF:
+                seen_inf = True
+            elif seen_inf:
+                raise ValueError("-inf entries must form a suffix")
+            elif type(v) is not int or v < 0:  # bool is an int subclass
+                raise ValueError(f"bad leaf-function value {v!r}")
+        super().__init__(n=n, values=values)

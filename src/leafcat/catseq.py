@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from operator import le
 
-from .bounds import HASSE_MAX_SIZE, SEQUENCES_MAX_SIZE, WORD_MAX_LEN, check_range
-from .words import _binary_words, _rc
+from .bounds import HASSE_MAX_SIZE, SEQUENCES_MAX_SIZE, WORD_MAX_LEN, LeafFunction, check_range
+from .words import _binary_words, _rc, f1_profile
 
 CatSeq = tuple  # tuple[int, ...]
 
@@ -143,9 +143,6 @@ def word_of(s: CatSeq) -> str:
 
 def leaf_function_caterpillar(s: CatSeq) -> LeafFunction:
     """Leaf function of the caterpillar of s: L(i) = F1(word_of(s), i-3) + 2."""
-    from .subtrees import LeafFunction
-    from .words import f1_profile
-
     w = word_of(s)
     values = (0, 0, 2) + tuple(f + 2 for f in f1_profile(w))
     return LeafFunction(len(w) + 3, values)

@@ -5,8 +5,9 @@ Exit codes: 0 on success / true, 1 on false / rejection / failed claims,
 
 A cold invocation loads only what its command uses: the word commands need
 `words` and `catseq`, and `graph`, `subtrees`, `leafwords`, `verify` and
-`json` are imported by the commands that use them.  The help prints the caps
-of `bounds`, which every command loads.
+`json` are imported by the commands that use them (not `graph` or `subtrees`
+by `equiv`, `realize` or `--caterpillar`).  The help prints the caps of
+`bounds`, which every command loads, `LeafFunction` included.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 
 from . import catseq, words
 from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, DEFAULT_MAX_N, FK_MAX_K, GRAPH_MAX_N,
-                     HASSE_MAX_SIZE, K_MAX, STAR_MAX_M, SUITE_ALIASES, SUITE_BOUNDS, WHEEL_MAX_N,
-                     WORD_MAX_LEN, check_range)
+                     HASSE_MAX_SIZE, K_MAX, NEG_INF, STAR_MAX_M, SUITE_ALIASES, SUITE_BOUNDS,
+                     WHEEL_MAX_N, WORD_MAX_LEN, LeafFunction, check_range)
 
 # family -> the name of its generator in `graph`, looked up when called
 GENERATORS = {"wheel": "wheel", "star": "star", "chain": "chain", "fk": "fk_tree"}
@@ -33,9 +34,6 @@ def _build_family(family: str, param: str):
 
 
 def _input_leaf_function(args):
-    from . import graph
-    from .subtrees import leaf_function_bruteforce, leaf_function_tree
-
     check_range("max_n", args.max_n, 0, BRUTEFORCE_MAX_N)
     if args.family and args.param is None:
         raise ValueError("--family requires --param")
@@ -43,6 +41,9 @@ def _input_leaf_function(args):
         raise ValueError("--param requires --family")
     if args.caterpillar is not None:
         return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
+    from . import graph
+    from .subtrees import leaf_function_bruteforce, leaf_function_tree
+
     if args.family:
         g = _build_family(args.family, args.param)
     else:
@@ -154,8 +155,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "leaf-function":
-        from .subtrees import NEG_INF
-
         lf = _input_leaf_function(args)
         _show(args, {"n": lf.n, "values": [str(v) if v is NEG_INF else v for v in lf.values]},
               ", ".join(f"{i} -> {v!r}" for i, v in enumerate(lf.values)))
@@ -206,7 +205,6 @@ def _run(args) -> int:
 
     if args.command == "realize":
         from .leafwords import Rejection, realize_caterpillar
-        from .subtrees import NEG_INF, LeafFunction
 
         parts = enumerate(p.strip() for p in args.values.split(","))
         vals = tuple(NEG_INF if p == "-inf" else _integer(f"L({i})", p) for i, p in parts)

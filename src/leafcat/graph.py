@@ -11,6 +11,7 @@ from typing import Iterable
 
 from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M,
                      WHEEL_MAX_N, Record, check_range)
+from .catseq import size
 
 
 class Graph(Record):
@@ -135,8 +136,6 @@ def caterpillar_graph(s: tuple[int, ...]) -> Graph:
 
     Spine vertices come first (0..k-1), then leaves in spine order.
     """
-    from .catseq import size
-
     check_range("size", size(s), 3, GRAPH_MAX_N)
     k = len(s)
     edges = [(i, i + 1) for i in range(k - 1)]

@@ -6,9 +6,8 @@ marks differences involving an absent value.
 
 from __future__ import annotations
 
-from .bounds import Record
+from .bounds import NEG_INF, LeafFunction, Record, Sentinel
 from .catseq import leaf_function_caterpillar
-from .subtrees import NEG_INF, LeafFunction, Sentinel
 from .words import _rc, pn_violation, prefix_ones, rc
 
 OMEGA = Sentinel.OMEGA

@@ -10,54 +10,13 @@ per-size enumeration all read it.  It stays the oracle for the tree DP.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from .bounds import BRUTEFORCE_MAX_N, DEFAULT_MAX_N, FREE_TREE_MAX_N, Record, check_range
+from .bounds import (BRUTEFORCE_MAX_N, DEFAULT_MAX_N, FREE_TREE_MAX_N, NEG_INF, LeafFunction,
+                     check_range)
 
-if TYPE_CHECKING:  # a leaf function of a caterpillar or a word needs no Graph
+if TYPE_CHECKING:  # the verify suites run the tree DP on levels and need no Graph
     from .graph import Graph
-
-
-class Sentinel(Enum):
-    """The two marker values, compared by identity.  Not numbers on purpose:
-    arithmetic with them must be handled explicitly, never silently."""
-
-    NEG_INF = "-inf"  # the value of an empty maximum
-    OMEGA = "w"  # a leaf-word letter next to an empty maximum
-
-    def __repr__(self):
-        return self.value
-
-    __str__ = __repr__
-
-
-NEG_INF = Sentinel.NEG_INF
-
-
-class LeafFunction(Record):
-    """Values of L_G: max leaves over induced subtrees of each size 0..n.
-
-    Immutable; equal, and hashed alike, when n and the values are."""
-
-    _fields = ("n", "values")
-
-    def __init__(self, n: int, values: tuple):
-        if len(values) != n + 1:
-            raise ValueError(f"expected {n + 1} values, got {len(values)}")
-        if values[0] != 0:
-            raise ValueError("L(0) must be 0")
-        if n >= 1 and values[1] != 0:
-            raise ValueError("L(1) must be 0")
-        seen_inf = False
-        for v in values:
-            if v is NEG_INF:
-                seen_inf = True
-            elif seen_inf:
-                raise ValueError("-inf entries must form a suffix")
-            elif type(v) is not int or v < 0:  # bool is an int subclass
-                raise ValueError(f"bad leaf-function value {v!r}")
-        super().__init__(n=n, values=values)
 
 
 def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]]:

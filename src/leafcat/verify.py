@@ -10,9 +10,9 @@ import time
 from itertools import chain, combinations, groupby
 
 from . import catseq, words
-from .bounds import SUITE_ALIASES, SUITE_BOUNDS, Record, check_range
+from .bounds import SUITE_ALIASES, SUITE_BOUNDS, LeafFunction, Record, check_range
 from .leafwords import delta_leaf_word, format_leaf_word
-from .subtrees import LeafFunction, _free_tree_levels, _leaf_function_levels
+from .subtrees import _free_tree_levels, _leaf_function_levels
 
 
 class VerifyReport(Record):

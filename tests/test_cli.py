@@ -381,7 +381,9 @@ WORD_MODULES = {"cli", "bounds", "words", "catseq"}
     ([["rc", "0101"], ["pnf", "0101"], ["word-of", "1,1,2"], ["check-pn", "1010"],
       ["poset", "--max-size", "3"], ["--help"]], WORD_MODULES),
     ([["generate", "--help"], ["leaf-function", "--help"], ["verify", "--help"]], WORD_MODULES),
-    ([["equiv", "01", "10"], ["realize", "0,0,2,2"]], WORD_MODULES | {"subtrees", "leafwords"}),
+    ([["equiv", "01", "10"], ["realize", "0,0,2,2"]], WORD_MODULES | {"leafwords"}),
+    ([["leaf-function", "--caterpillar", "3,1,2"]], WORD_MODULES),
+    ([["leaf-word", "--caterpillar", "3,1,2"]], WORD_MODULES | {"leafwords"}),
     ([["generate", "--family", "chain", "--param", "3"]], WORD_MODULES | {"graph"}),
     ([["leaf-function", "--family", "chain", "--param", "3"]],
      WORD_MODULES | {"graph", "subtrees"}),
@@ -389,8 +391,8 @@ WORD_MODULES = {"cli", "bounds", "words", "catseq"}
      WORD_MODULES | {"graph", "subtrees", "leafwords"}),
     ([["verify", "--suite", "poset", "--max-n", "3"]],
      WORD_MODULES | {"subtrees", "leafwords", "verify"}),
-], ids=["word-commands", "command-help", "equiv-realize", "generate", "leaf-function",
-        "leaf-word", "verify"])
+], ids=["word-commands", "command-help", "equiv-realize", "leaf-function-caterpillar",
+        "leaf-word-caterpillar", "generate", "leaf-function", "leaf-word", "verify"])
 def test_cold_start_table(commands, modules):
     script = (
         "import contextlib, io, sys\n"

@@ -1,6 +1,8 @@
-"""Public functions check a word or a caterpillar sequence once, on entry."""
+"""Public functions check a word or a caterpillar sequence once, on entry,
+and every size, index and vertex is an int."""
 
 import inspect
+import re
 from collections import Counter
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from leafcat import catseq as cs
 from leafcat import leafwords as lw
 from leafcat import words as wd
+from leafcat.graph import Graph, chain
+from leafcat.subtrees import leaf_function_bruteforce
 
 BAD_WORD = "012"
 BAD_SEQ = (0, 1)
@@ -141,3 +145,21 @@ def test_every_public_function_is_covered(module):
     short = module.__name__.rsplit(".", 1)[1]
     covered = {fn.__name__ for fn, _ in MALFORMED if fn.__module__ == module.__name__}
     assert public == covered | NOT_CHECKING[short]
+
+
+# (a call with one scalar that is a float or a bool, that scalar's name and value)
+NOT_AN_INT = [
+    (lambda: Graph(3, [(0, 1.5)]), "vertex=1.5"),
+    (lambda: Graph(3, [(0.0, 2)]), "vertex=0.0"),
+    (lambda: Graph(3, [(False, True)]), "vertex=False"),
+    (lambda: Graph(3.0, []), "n=3.0"),
+    (lambda: leaf_function_bruteforce(chain(3), max_n=20.0), "max_n=20.0"),
+    (lambda: wd.f1("01", True), "i=True"),
+    (lambda: cs.left((3,), 3.0), "i=3.0"),
+]
+
+
+@pytest.mark.parametrize("call, named", NOT_AN_INT, ids=[named for _, named in NOT_AN_INT])
+def test_scalar_that_is_not_an_int_raises(call, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an integer$"):
+        call()
