@@ -27,12 +27,12 @@ class Graph(Record):
         check_range("n", n, 0, GRAPH_MAX_N)
         edges = frozenset(edges)  # a frozenset is kept as it is
         for u, v in edges:
+            check_range("vertex", u, 0, n - 1)
+            check_range("vertex", v, 0, n - 1)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not canonical (min,max)")
-            check_range("vertex", u, 0, n - 1)
-            check_range("vertex", v, 0, n - 1)
         super().__init__(n=n, edges=edges)
 
     @staticmethod

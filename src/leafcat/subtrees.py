@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .bounds import (BRUTEFORCE_MAX_N, DEFAULT_MAX_N, FREE_TREE_MAX_N, NEG_INF, LeafFunction,
-                     check_range)
+                     Sentinel, check_range)  # Sentinel: older pickles of NEG_INF name it here
 
 if TYPE_CHECKING:  # the verify suites run the tree DP on levels and need no Graph
     from .graph import Graph

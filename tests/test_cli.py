@@ -510,7 +510,8 @@ def no_work(monkeypatch):
 
     for target in ("leafcat.subtrees.leaf_function_bruteforce",
                    "leafcat.subtrees.leaf_function_tree", "leafcat.words.f1_profile",
-                   "leafcat.words.rc", "leafcat.catseq.all_sequences"):
+                   "leafcat.catseq.f1_profile", "leafcat.words.rc",
+                   "leafcat.catseq.all_sequences"):
         monkeypatch.setattr(target, started)
     monkeypatch.setattr(graph.Graph, "from_edges", staticmethod(started))
     for suite in verify.SUITES:

@@ -62,6 +62,8 @@ def test_sentinels_keep_repr_and_identity():
     for sentinel in (NEG_INF, OMEGA):
         assert copy.deepcopy(sentinel) is sentinel
         assert pickle.loads(pickle.dumps(sentinel)) is sentinel
+    # a pickle made when the sentinels were defined in subtrees loads to the same object
+    assert pickle.loads(b"cleafcat.subtrees\nSentinel\n(V-inf\ntR.") is NEG_INF
 
 
 def test_wheel10_leaf_function():

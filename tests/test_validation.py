@@ -147,8 +147,10 @@ def test_every_public_function_is_covered(module):
     assert public == covered | NOT_CHECKING[short]
 
 
-# (a call with one scalar that is a float or a bool, that scalar's name and value)
+# (a call with one scalar that is not an int, that scalar's name and value)
 NOT_AN_INT = [
+    (lambda: Graph(3, [(None, 1)]), "vertex=None"),
+    (lambda: Graph(3, [("a", 1)]), "vertex='a'"),
     (lambda: Graph(3, [(0, 1.5)]), "vertex=1.5"),
     (lambda: Graph(3, [(0.0, 2)]), "vertex=0.0"),
     (lambda: Graph(3, [(False, True)]), "vertex=False"),
