@@ -1,16 +1,15 @@
 """Simple undirected graphs and generators for the tree families used here.
 
-Vertices are dense integers 0..n-1.  Edges are stored canonically as
-(min, max) pairs so that iteration order is deterministic.
+Vertices are dense integers 0..n-1.  A graph stores only each vertex's neighbour
+set, as a bitmask; its edges, as (min, max) pairs in order, are read off them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable
 
-from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M,
-                     WHEEL_MAX_N, Record, check_range)
+from .bounds import (CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M, WHEEL_MAX_N, Record,
+                     check_range)
 from .catseq import size
 
 
@@ -19,13 +18,11 @@ class Graph(Record):
 
     Graphs are equal, and hash alike, when their n and edge sets are."""
 
-    _fields = ("n", "edges")
-    # one tuple per vertex pair below BRUTEFORCE_MAX_N: graphs held at once share their edges
-    _shared_edges = {(u, v): (u, v) for v in range(BRUTEFORCE_MAX_N) for u in range(v)}
+    _fields = ("n", "adj_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         check_range("n", n, 0, GRAPH_MAX_N)
-        edges = frozenset(edges)  # a frozenset is kept as it is
+        masks = [0] * n
         for u, v in edges:
             check_range("vertex", u, 0, n - 1)
             check_range("vertex", v, 0, n - 1)
@@ -33,28 +30,33 @@ class Graph(Record):
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not canonical (min,max)")
-        super().__init__(n=n, edges=edges)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        super().__init__(n=n, adj_masks=tuple(masks))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, canonicalizing and deduplicating edges; small ones are shared."""
-        canonical = ((min(u, v), max(u, v)) for u, v in edges)
-        return Graph(n, frozenset(Graph._shared_edges.get(e, e) for e in canonical))
+        """Build a graph, canonicalizing and deduplicating edges; Graph rejects non-int ends."""
+        return Graph(n, ((v, u) if type(u) is type(v) is int and u > v else (u, v)
+                         for u, v in edges))
 
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor sets as bitmasks, the graph's one neighbor table."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges in ascending order, in O(n + m): each vertex's higher neighbours."""
+        edges = []
+        for u, mask in enumerate(self.adj_masks):
+            mask >>= u + 1  # bit p is now vertex u + 1 + p
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                edges.append((u, u + low.bit_length()))
+        return edges
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -67,7 +69,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     for v in vs:
         check_range("vertex", v, 0, g.n - 1)
     index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    edges = [(index[u], index[v]) for u, v in g.sorted_edges() if u in index and v in index]
     return Graph.from_edges(len(vs), edges)
 
 
@@ -90,9 +92,7 @@ def _preorder_levels(g: Graph) -> list[int]:
 
 def is_tree(g: Graph) -> bool:
     """True iff g is connected and acyclic.  The empty graph counts as a tree."""
-    if g.n == 0:
-        return len(g.edges) == 0
-    return len(g.edges) == g.n - 1 and len(_preorder_levels(g)) == g.n
+    return g.n == 0 or len(g.edges) == g.n - 1 and len(_preorder_levels(g)) == g.n
 
 
 def leaf_count(g: Graph) -> int:
@@ -178,8 +178,8 @@ def fk_tree(k: int) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Edge-list format: first line "n m", then one "u v" line per edge."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines += [f"{u} {v}" for u, v in g.sorted_edges()]
+    edges = g.sorted_edges()
+    lines = [f"{g.n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,11 @@
 """Leaf functions: brute force on any graph, dynamic programming on trees.
 
-The brute-force engine is one generator, `_induced_trees`.  It grows
-connected vertex sets from each anchor vertex, restricted to vertices above
-the anchor, with exclusive-neighborhood extension so that every connected set
-is produced exactly once.  It keeps each set's leaf count per step and walks
-a set with a cycle but never yields it.  Leaf functions, witnesses and the
-per-size enumeration all read it.  It stays the oracle for the tree DP.
+The brute-force engine is one generator, `_induced_trees`: Wernicke's ESU
+enumerator (2006) restricted to trees.  It grows vertex sets from each anchor,
+above the anchor only, by exclusive-neighborhood extension, never by a vertex
+that closes a cycle, so each induced tree comes once, its leaf count carried
+from the tree it grew from.  Leaf functions, witnesses and the per-size
+enumeration all read it.  It stays the oracle for the tree DP.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]
     that induces a tree, each set once, its vertices in the order they joined.
 
     Order: anchors ascending, then depth-first, lowest available vertex first.
-    Leaf counts carry over in O(1) per step; a cyclic set (None) is walked, never yielded.
+    No set is grown by a vertex with two neighbours in it: each set on the way
+    to an induced tree is a tree too.  Leaf counts carry over in O(1) per step.
     """
     adj = g.adj_masks
 
-    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int, leaves: int | None):
-        if leaves is not None:
-            yield vs, leaves
+    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int, leaves: int):
+        yield vs, leaves
         if len(vs) >= limit:
             return
         while ext:
@@ -38,10 +38,10 @@ def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]
             ext ^= low
             w = low.bit_length() - 1
             inside = adj[w] & s
-            grown = None  # w closes a cycle, or s already has one
-            if leaves is not None and not inside & (inside - 1):
-                d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
-                grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
+            if inside & (inside - 1):
+                continue
+            d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
+            grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
             new_ext = ext | (adj[w] & above & ~closed)
             yield from extend(s | low, vs + (w,), new_ext, closed | adj[w] | low, grown)
 

@@ -120,8 +120,8 @@ def test_enumerate_subtrees_wheel4_size5():
 
 @functools.lru_cache(maxsize=16)
 def _neighbor_lists(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor lists read off the edge set, not off the graph's own
-    neighbor table."""
+    """Sorted neighbor lists read off the edge set, not off the bitmasks that
+    the engine walks."""
     nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:
         nbrs[u].append(v)
@@ -424,6 +424,34 @@ def test_connected_noncomplete_l3_is_2():
             continue  # complete
         g = Graph.from_edges(n, [(int(u), int(v)) for u, v in ag.edges()])
         assert leaf_function_bruteforce(g).values[3] == 2
+
+
+def test_atlas_is_an_exhaustive_oracle():
+    # every graph on up to 7 vertices: brute force yields exactly its induced
+    # trees with their own leaf counts, and its leaf functions obey the step laws
+    distinct = [set() for _ in range(8)]
+    for ag in graph_atlas_g():
+        n = len(ag)
+        g = Graph.from_edges(n, [(int(u), int(v)) for u, v in ag.edges()])
+        _assert_leaf_counts_carried(g)
+        values = leaf_function_bruteforce(g).values
+        distinct[n].add(values)
+        for i in range(2, n):
+            a, b = values[i], values[i + 1]
+            if a is not NEG_INF and b is not NEG_INF:
+                # up by at most one on every graph (drop a leaf of a best tree);
+                # down by at most one holds only up to 7 vertices
+                assert -1 <= b - a <= 1, (sorted(g.edges), values)
+    assert [len(d) for d in distinct] == [1, 1, 2, 3, 5, 8, 14, 25]
+
+
+def test_cone_over_path_drops_by_two():
+    # the cone over a 6-vertex path plus an isolated vertex: the smallest
+    # order at which L falls by 2 in one step
+    cone = Graph.from_edges(8, [(i, i + 1) for i in range(5)] + [(i, 7) for i in range(7)])
+    expected = (0, 0, 2, 2, 3, 4, 2, NEG_INF, NEG_INF)
+    assert leaf_function_bruteforce(cone).values == expected
+    assert _naive_leaf_function(cone).values == expected
 
 
 def test_edge_implies_l2():

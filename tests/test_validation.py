@@ -158,10 +158,15 @@ NOT_AN_INT = [
     (lambda: leaf_function_bruteforce(chain(3), max_n=20.0), "max_n=20.0"),
     (lambda: wd.f1("01", True), "i=True"),
     (lambda: cs.left((3,), 3.0), "i=3.0"),
+    # from_edges checks both ends before it orders an edge
+    *[pytest.param(lambda e=e: Graph.from_edges(30, [e]), named, id=f"from_edges-{e[0]!r}-{e[1]!r}")
+      for e, named in [((0.0, 2), "vertex=0.0"), ((0.0, 28), "vertex=0.0"), ((None, 1), "vertex=None"),
+                       (("a", 1), "vertex='a'"), ((1, True), "vertex=True")]],
 ]
 
 
-@pytest.mark.parametrize("call, named", NOT_AN_INT, ids=[named for _, named in NOT_AN_INT])
+@pytest.mark.parametrize("call, named", NOT_AN_INT,
+                         ids=[getattr(row, "id", None) or row[1] for row in NOT_AN_INT])
 def test_scalar_that_is_not_an_int_raises(call, named):
     with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an integer$"):
         call()

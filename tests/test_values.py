@@ -15,7 +15,7 @@ from leafcat.verify import VerifyReport
 # (a value, an equal value built apart from it, an unequal value, its repr)
 VALUES = [
     (Graph.from_edges(3, [(1, 0), (1, 2)]), Graph(3, frozenset({(0, 1), (1, 2)})),
-     Graph.from_edges(3, [(0, 1)]), "Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))"),
+     Graph.from_edges(3, [(0, 1)]), "Graph(n=3, adj_masks=(2, 5, 2))"),
     (LeafFunction(3, (0, 0, 2, NEG_INF)), LeafFunction(3, tuple([0, 0, 2, NEG_INF])),
      LeafFunction(3, (0, 0, 2, 2)), "LeafFunction(n=3, values=(0, 0, 2, -inf))"),
     (Rejection("not-prefix-normal", ("01", "11")), Rejection("not-prefix-normal", ("01", "11")),
@@ -27,7 +27,7 @@ VALUES = [
 IDS = ["Graph", "LeafFunction", "Rejection", "VerifyReport"]
 # edges given as a list are frozen, so the graph hashes and compares by value
 EDGE_LIST = (Graph(3, [(0, 1)]), Graph.from_edges(3, [(1, 0)]), Graph(3, []),
-             "Graph(n=3, edges=frozenset({(0, 1)}))")
+             "Graph(n=3, adj_masks=(2, 1, 0))")
 
 
 @pytest.mark.parametrize("value, same, other, text", VALUES + [EDGE_LIST],
@@ -40,7 +40,7 @@ def test_equality_hash_and_repr(value, same, other, text):
 
 
 @pytest.mark.parametrize("value, fields", zip([v[0] for v in VALUES], [
-    ("n", "edges"), ("n", "values"), ("reason", "witness"),
+    ("n", "adj_masks"), ("n", "values"), ("reason", "witness"),
     ("claim", "bound", "instances", "failures", "seconds", "notes")]), ids=IDS)
 def test_fields_cannot_change(value, fields):
     for name in fields:
@@ -54,10 +54,10 @@ def test_fields_cannot_change(value, fields):
         value.extra = 1
 
 
-def test_graph_caches_its_neighbor_tables():
+def test_graph_stores_its_neighbor_table():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.adj_masks is g.adj_masks and g.adj_masks == (0b010, 0b101, 0b010)
-    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])  # the cache does not count
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])  # built apart, the same table
 
 
 @pytest.mark.parametrize("value", [v[0] for v in VALUES], ids=IDS)
