@@ -1,8 +1,9 @@
 """The size cap of every entry point, the one range check that enforces them,
 and the value types every layer shares: the value-class base `Record`, the
-`Sentinel` markers `NEG_INF` and `OMEGA`, and `LeafFunction`."""
+`Sentinel` markers `NEG_INF` and `OMEGA`, `LeafFunction` and `CatSeq`."""
 
 from enum import Enum
+from functools import partial
 
 # the most vertices of any graph; the tree DP is O(n^2) and takes about 0.5 s
 # on a 1,000-vertex chain (one core of a 2-vCPU VM)
@@ -125,3 +126,30 @@ class LeafFunction(Record):
             elif type(v) is not int or v < 0:  # bool is an int subclass
                 raise ValueError(f"bad leaf-function value {v!r}")
         super().__init__(n=n, values=values)
+
+
+def check_sequence(s) -> None:
+    if type(s) is CatSeq:  # checked when it was built
+        return
+    if not isinstance(s, tuple) or len(s) == 0:
+        raise ValueError(f"not a caterpillar sequence: {s!r}")
+    if any(type(x) is not int or x < 0 for x in s):  # bool is an int subclass
+        raise ValueError(f"entries must be non-negative integers: {s!r}")
+    if s[0] < 1 or s[-1] < 1:
+        raise ValueError(f"first and last entries must be >= 1: {s!r}")
+    if len(s) == 1 and s[0] < 2:
+        raise ValueError(f"a length-1 sequence needs s_1 >= 2: {s!r}")
+
+
+class CatSeq(tuple):
+    """A caterpillar sequence checked by its constructor, or built by `_trusted` from checked
+    input.  Repr, equality and hash are tuple's; a slice or a sum of one is a plain tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, s):
+        check_sequence(s)
+        return tuple.__new__(cls, s)
+
+
+_trusted = partial(tuple.__new__, CatSeq)

@@ -5,28 +5,18 @@ s_1, s_k >= 1 (and s_1 >= 2 when k = 1).  It encodes the caterpillar with
 spine v_1..v_k carrying s_i pendant leaves on v_i.
 
 A public function checks its sequences once, on entry, and never inside a
-loop over them; sequences it builds from checked ones are trusted.
+loop over them.  Every sequence this module or `words.rc` returns is a
+`CatSeq`, built from checked input without a second check; `check_sequence`
+returns at once for a `CatSeq`, and checks a plain tuple in full.
 """
 
 from __future__ import annotations
 
 from operator import le
 
-from .bounds import HASSE_MAX_SIZE, SEQUENCES_MAX_SIZE, WORD_MAX_LEN, LeafFunction, check_range
+from .bounds import (HASSE_MAX_SIZE, SEQUENCES_MAX_SIZE, WORD_MAX_LEN, CatSeq, LeafFunction,
+                     _trusted, check_range, check_sequence)
 from .words import _binary_words, _rc, f1_profile
-
-CatSeq = tuple  # tuple[int, ...]
-
-
-def check_sequence(s) -> None:
-    if not isinstance(s, tuple) or len(s) == 0:
-        raise ValueError(f"not a caterpillar sequence: {s!r}")
-    if any(type(x) is not int or x < 0 for x in s):  # bool is an int subclass
-        raise ValueError(f"entries must be non-negative integers: {s!r}")
-    if s[0] < 1 or s[-1] < 1:
-        raise ValueError(f"first and last entries must be >= 1: {s!r}")
-    if len(s) == 1 and s[0] < 2:
-        raise ValueError(f"a length-1 sequence needs s_1 >= 2: {s!r}")
 
 
 def size(s: CatSeq) -> int:
@@ -42,7 +32,7 @@ def leaves(s: CatSeq) -> int:
 
 def reversal(s: CatSeq) -> CatSeq:
     check_sequence(s)
-    return s[::-1]
+    return _trusted(s[::-1])
 
 
 def spine_degrees(s: CatSeq) -> tuple[int, ...]:
@@ -67,7 +57,7 @@ def graft(s1: CatSeq, s2: CatSeq) -> CatSeq:
     """Merge overlapping at one spine vertex; associative with identity (2)."""
     check_sequence(s1)
     check_sequence(s2)
-    return s1[:-1] + (s1[-1] + s2[0] - 2,) + s2[1:]
+    return _trusted(s1[:-1] + (s1[-1] + s2[0] - 2,) + s2[1:])
 
 
 def left_recursive(s: CatSeq, i: int) -> CatSeq:
@@ -80,16 +70,18 @@ def left_recursive(s: CatSeq, i: int) -> CatSeq:
             s = s[:-1] + (s[-1] - 1,)
         else:
             s = s[:-2] + (s[-2] + 1,)
-    return s
+    return _trusted(s)
 
 
 def _mirror(s: CatSeq) -> CatSeq:
-    """s reversed, unchecked; a non-tuple is passed on for the check to reject."""
+    """s reversed, unchecked and a CatSeq if s is; a non-tuple is left for the check to reject."""
+    if type(s) is CatSeq:
+        return _trusted(s[::-1])
     return s[::-1] if isinstance(s, tuple) else s
 
 
 def right_recursive(s: CatSeq, i: int) -> CatSeq:
-    return left_recursive(_mirror(s), i)[::-1]
+    return _trusted(left_recursive(_mirror(s), i)[::-1])
 
 
 def alpha_beta_left(s: CatSeq, i: int) -> tuple[int, int]:
@@ -115,30 +107,28 @@ def alpha_beta_right(s: CatSeq, i: int) -> tuple[int, int]:
 def left(s: CatSeq, i: int) -> CatSeq:
     """Left caterpillar subsequence of size i, by closed form."""
     a, alpha = alpha_beta_left(s, i)
-    return s[:a] + (alpha,)
+    return _trusted(s[:a] + (alpha,))
 
 
 def right(s: CatSeq, i: int) -> CatSeq:
     """Right caterpillar subsequence of size i."""
     b, beta = alpha_beta_right(s, i)
-    return (beta,) + s[b - 1:]
+    return _trusted((beta,) + s[b - 1:])
 
 
 def decompose(s: CatSeq, i: int) -> tuple[CatSeq, CatSeq]:
     """Split s as graft(left(s, i), right(s, size(s)+3-i)); the two parts
     meet at the spine vertex where left(s, i) ends."""
     a, alpha = alpha_beta_left(s, i)
-    return s[:a] + (alpha,), (s[a] + 2 - alpha,) + s[a + 1:]
+    return _trusted(s[:a] + (alpha,)), _trusted((s[a] + 2 - alpha,) + s[a + 1:])
 
 
 def word_of(s: CatSeq) -> str:
     """The unique binary word w with rc(w) = s."""
     check_sequence(s)
     check_range("word length", len(s) + sum(s) - 3, 0, WORD_MAX_LEN)
-    if len(s) == 1:
-        return "1" * (s[0] - 2)
-    parts = ["1" * (s[0] - 1)] + ["1" * x for x in s[1:-1]] + ["1" * (s[-1] - 1)]
-    return "0".join(parts)
+    # s_1 - 1 ones, a 0 before each further spine vertex, and s_k - 1 ones at the end
+    return "0".join(["1" * x for x in s])[1:-1]
 
 
 def leaf_function_caterpillar(s: CatSeq) -> LeafFunction:
@@ -214,7 +204,7 @@ def parse_sequence(text: str) -> CatSeq:
     except ValueError as exc:
         raise ValueError(f"bad caterpillar sequence: {text!r}") from exc
     check_sequence(s)
-    return s
+    return _trusted(s)
 
 
 def format_sequence(s: CatSeq) -> str:

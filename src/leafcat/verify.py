@@ -111,8 +111,8 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
 
     def monoid(a, b=None, c=None):
         """The identity law on one sequence, associativity on three."""
-        if b is None:
-            if catseq.graft(a, (2,)) != a or catseq.graft((2,), a) != a:
+        if b is None:  # rc("") is (2), the identity
+            if catseq.graft(a, rc[""]) != a or catseq.graft(rc[""], a) != a:
                 yield f"identity fails for {a}"
         elif catseq.graft(catseq.graft(a, b), c) != catseq.graft(a, catseq.graft(b, c)):
             yield f"associativity fails for {a},{b},{c}"

@@ -11,10 +11,12 @@ from itertools import accumulate, product
 from operator import sub
 from typing import Iterator
 
-from .bounds import ENUM_MAX_LEN, K_MAX, WORD_MAX_LEN, check_range
+from .bounds import ENUM_MAX_LEN, K_MAX, WORD_MAX_LEN, CatSeq, _trusted, check_range
 
 
 def check_binary(w: str) -> None:
+    if not isinstance(w, str):  # a list or tuple of strings has a length and letters too
+        raise ValueError(f"not a binary word: {w!r}")
     check_range("word length", len(w), 0, WORD_MAX_LEN)
     if any(c not in "01" for c in w):
         raise ValueError(f"not a binary word: {w!r}")
@@ -91,15 +93,15 @@ def equivalent(w1: str, w2: str) -> bool:
     return f1_profile(w1) == f1_profile(w2)
 
 
-def rc(w: str) -> tuple[int, ...]:
+def rc(w: str) -> CatSeq:
     """Reading caterpillar sequence: '0' starts a new spine vertex,
     '1' adds a leaf to the current one.  rc("") = (2)."""
     check_binary(w)
     return _rc(w)
 
 
-def _rc(w: str) -> tuple[int, ...]:
-    """rc of a word already checked."""
+def _rc(w: str) -> CatSeq:
+    """rc of a word already checked; every word reads as a valid sequence."""
     seq = [2]
     for c in w:
         if c == "0":
@@ -107,7 +109,7 @@ def _rc(w: str) -> tuple[int, ...]:
             seq.append(1)
         else:
             seq[-1] += 1
-    return tuple(seq)
+    return _trusted(seq)
 
 
 def _binary_words(max_len: int) -> Iterator[str]:

@@ -1,10 +1,14 @@
+import copy
 import itertools
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafcat import catseq as cs
+from leafcat import leafwords as lw
 from leafcat import words as wd
 from leafcat.graph import caterpillar_graph
 from leafcat.subtrees import leaf_function_bruteforce
@@ -254,3 +258,71 @@ def test_parse_format_roundtrip():
         cs.parse_sequence("3,x")
     with pytest.raises(ValueError):
         cs.parse_sequence("0,1")
+
+
+# ---------------------------------------------------------------------------
+# CatSeq: a checked sequence that the checks trust
+
+# every malformed sequence the checks above and tests/test_validation.py use,
+# and a list, which is not a tuple
+BAD_SEQUENCES = [(), (0,), (1,), (0, 1), (1, 0), (-1, 2), (1.5,), (2, True), (True, 1),
+                 (False, 2), 5, None, [2]]
+
+
+@pytest.mark.parametrize("entries", [(2,), (1, 1), (3, 0, 2, 4, 0, 1)])
+def test_catseq_is_a_tuple_in_repr_equality_and_hash(entries):
+    s = cs.CatSeq(entries)
+    assert type(s).__name__ == "CatSeq" and isinstance(s, tuple)
+    assert repr(s) == repr(entries) and str(s) == str(entries)
+    assert s == entries and entries == s and hash(s) == hash(entries)
+    assert len({s, entries}) == 1 and {s: 1}[entries] == 1
+    assert not hasattr(s, "__dict__")
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_catseq_pickles(protocol):
+    s = cs.CatSeq((3, 0, 2))
+    twin = pickle.loads(pickle.dumps(s, protocol))
+    assert type(twin) is cs.CatSeq and twin == s and hash(twin) == hash(s)
+
+
+def test_catseq_copies():
+    s = cs.CatSeq((3, 0, 2))
+    for twin in (copy.copy(s), copy.deepcopy(s)):
+        assert type(twin) is cs.CatSeq and twin == s and hash(twin) == hash(s)
+
+
+@pytest.mark.parametrize("bad", BAD_SEQUENCES, ids=repr)
+def test_catseq_rejects_what_check_sequence_rejects(bad):
+    with pytest.raises(ValueError) as expected:
+        cs.check_sequence(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        cs.CatSeq(bad)
+
+
+def test_only_a_catseq_skips_the_check():
+    s = cs.CatSeq((3, 0, 2))
+    # a slice or a concatenation is a plain tuple again, and is checked in full
+    assert type(s[:-1]) is tuple and type(s + (1,)) is tuple
+    with pytest.raises(ValueError, match="entries must be non-negative integers"):
+        cs.size(s[:-1] + (True,))
+
+    class Other(tuple):
+        pass
+
+    class Sub(cs.CatSeq):
+        pass
+
+    # neither another tuple subclass nor a subclass of CatSeq is trusted
+    for kind in (Other, Sub):
+        with pytest.raises(ValueError, match="first and last entries must be >= 1"):
+            cs.size(tuple.__new__(kind, (0, 1)))
+
+
+def test_library_sequences_are_catseq():
+    s = (3, 0, 2, 4, 0, 1)
+    built = [wd.rc("0110"), cs.graft(s, (2, 1)), cs.reversal(s), cs.left(s, 6), cs.right(s, 6),
+             *cs.decompose(s, 6), cs.left_recursive(s, 6), cs.right_recursive(s, 6),
+             *cs.all_sequences(6), cs.parse_sequence("3,0,2"),
+             lw.realize_caterpillar(lw.leaf_function_from_word("1101"))]
+    assert {type(x).__name__ for x in built} == {"CatSeq"}

@@ -12,6 +12,7 @@ from leafcat import leafwords as lw
 from leafcat import words as wd
 from leafcat.graph import Graph, chain
 from leafcat.subtrees import leaf_function_bruteforce
+from leafcat.verify import run_suite
 
 BAD_WORD = "012"
 BAD_SEQ = (0, 1)
@@ -80,6 +81,30 @@ def test_hasse_covers_checks_each_sequence_once(checks):
     assert covers and checks["check_sequence"] == len(cs.all_sequences(6))
 
 
+@pytest.mark.parametrize("suite, bound", [("morphism", 6), ("poset", 5)])
+def test_suites_check_only_catseq_values(suite, bound, monkeypatch):
+    """The suites read sequences the library built, so each check is the fast path."""
+    kinds = Counter()
+    original = cs.check_sequence
+
+    def recording(s):
+        kinds[type(s).__name__] += 1
+        return original(s)
+
+    monkeypatch.setattr(cs, "check_sequence", recording)
+    assert all(report.passed for report in run_suite(suite, bound))
+    assert set(kinds) == {"CatSeq"} and kinds["CatSeq"] > 0
+
+
+# words that are not a str: a list or tuple of strings has a length and
+# letters too, bytes and None have no letters that are strings
+NOT_A_STR = [
+    (wd.rc, (["01", "1"],)),
+    (wd.rc, (("0", "1"),)),
+    (wd.f1_profile, (b"0101",)),
+    (wd.is_prefix_normal, (None,)),
+]
+
 # (function, arguments with a malformed word or sequence in them)
 MALFORMED = [
     (wd.check_binary, (BAD_WORD,)),
@@ -94,6 +119,7 @@ MALFORMED = [
     (wd.equivalent, ("01", BAD_WORD)),
     (wd.equivalent, ("01", "0x2")),
     (wd.rc, (BAD_WORD,)),
+    *NOT_A_STR,
     (cs.check_sequence, (BAD_SEQ,)),
     (cs.size, (BAD_SEQ,)),
     (cs.leaves, (BAD_SEQ,)),
@@ -135,6 +161,13 @@ NOT_CHECKING = {
                          ids=[f"{fn.__name__}{args}" for fn, args in MALFORMED])
 def test_malformed_argument_raises(fn, args):
     with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, args", NOT_A_STR,
+                         ids=[f"{fn.__name__}{args}" for fn, args in NOT_A_STR])
+def test_word_that_is_not_a_str_raises(fn, args):
+    with pytest.raises(ValueError, match=f"^not a binary word: {re.escape(repr(args[0]))}$"):
         fn(*args)
 
 
