@@ -45,6 +45,7 @@ class Graph(Record):
         return frozenset(self.sorted_edges())
 
     def degree(self, v: int) -> int:
+        check_range("vertex", v, 0, self.n - 1)
         return self.adj_masks[v].bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -102,7 +103,7 @@ def leaf_count(g: Graph) -> int:
     """
     if not is_tree(g):
         raise ValueError("leaf_count requires a tree")
-    return sum(1 for v in range(g.n) if g.degree(v) == 1)
+    return sum(1 for mask in g.adj_masks if mask.bit_count() == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Leaf functions: brute force on any graph, dynamic programming on trees.
 
 The brute-force engine is one generator, `_induced_trees`: Wernicke's ESU
-enumerator (2006) restricted to trees.  It grows vertex sets from each anchor,
-above the anchor only, by exclusive-neighborhood extension, never by a vertex
-that closes a cycle, so each induced tree comes once, its leaf count carried
-from the tree it grew from.  Leaf functions, witnesses and the per-size
-enumeration all read it.  It stays the oracle for the tree DP.
+enumerator (2006) restricted to trees, walked as one loop over an explicit
+stack, so a set of any size is yielded from one generator frame.  It grows
+vertex sets from each anchor, above the anchor only, by exclusive-neighborhood
+extension, never by a vertex that closes a cycle, so each induced tree comes
+once, its leaf count carried from the tree it grew from.  Leaf functions,
+witnesses and the per-size enumeration read it, and it checks the tree DP.
 """
 
 from __future__ import annotations
@@ -26,32 +27,35 @@ def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]
     Order: anchors ascending, then depth-first, lowest available vertex first.
     No set is grown by a vertex with two neighbours in it: each set on the way
     to an induced tree is a tree too.  Leaf counts carry over in O(1) per step.
+    One loop over an explicit stack yields every set from this generator frame.
     """
     adj = g.adj_masks
-
-    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int, leaves: int):
-        yield vs, leaves
-        if len(vs) >= limit:
-            return
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            inside = adj[w] & s
-            if inside & (inside - 1):
-                continue
-            d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
-            grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
-            new_ext = ext | (adj[w] & above & ~closed)
-            yield from extend(s | low, vs + (w,), new_ext, closed | adj[w] | low, grown)
-
     for v in range(g.n):
         above = -1 << (v + 1)
-        yield from extend(1 << v, (v,), adj[v] & above, (1 << v) | adj[v], 0)
+        yield (v,), 0
+        stack = [(1 << v, (v,), adj[v] & above if limit > 1 else 0, (1 << v) | adj[v], 0)]
+        while stack:
+            s, vs, ext, closed, leaves = stack.pop()
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                inside = adj[w] & s
+                if inside & (inside - 1):
+                    continue
+                d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
+                grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
+                grown_vs = vs + (w,)
+                yield grown_vs, grown
+                if len(grown_vs) < limit:  # descend; the frame left resumes at ext
+                    stack.append((s, vs, ext, closed, leaves))
+                    s, vs, ext, leaves = s | low, grown_vs, ext | (adj[w] & above & ~closed), grown
+                    closed |= adj[w] | low
 
 
 def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
-    """Vertex sets U with |U| = i and G[U] a tree, each once, sorted tuples."""
+    """Vertex sets U with |U| = i and G[U] a tree, each once, sorted tuples.
+    A generator: i and the graph's size are checked at the first next()."""
     check_range("i", i, 0, g.n)
     check_range("n", g.n, 0, BRUTEFORCE_MAX_N)
     if i == 0:
@@ -214,7 +218,8 @@ def _merge_up(parent: list, under: tuple, inside) -> None:
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
-    """One tree per isomorphism class on n vertices, numbered in preorder."""
+    """One tree per isomorphism class on n vertices, numbered in preorder.
+    A generator: n is checked at the first next(), not at the call."""
     from .graph import Graph
 
     for levels in _free_tree_levels(n):

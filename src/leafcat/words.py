@@ -124,7 +124,8 @@ def enumerate_pnw(n: int) -> Iterator[str]:
     """All prefix normal words of length n, in lexicographic order.
 
     Prefix normal words are closed under taking prefixes, so the search tree
-    is pruned at the first non-normal prefix.
+    is pruned at the first non-normal prefix.  A generator: n is checked at the
+    first next(), not at the call.
     """
     check_range("n", n, 0, ENUM_MAX_LEN)
 

@@ -20,6 +20,7 @@ from leafcat.graph import (
     caterpillar_graph,
     chain,
     fk_tree,
+    is_tree,
     star,
     wheel,
 )
@@ -32,6 +33,7 @@ from leafcat.subtrees import (
     leaf_function_bruteforce,
     leaf_function_tree,
 )
+from leafcat.words import rc
 
 
 def test_leaf_function_validation():
@@ -293,6 +295,68 @@ def test_enumeration_order_is_pinned():
         (1, 2, 5, 6, 8), (1, 2, 5, 7, 8), (2, 3, 4, 5, 6), (2, 3, 4, 5, 8)]
 
 
+def _recursive_induced_trees(g: Graph, limit: int):
+    """The engine as it was when each vertex of a set held one nested generator
+    frame: the reference for the explicit-stack walk, set by set, in order."""
+    adj = g.adj_masks
+
+    def extend(s: int, vs: tuple[int, ...], ext: int, closed: int, leaves: int):
+        yield vs, leaves
+        if len(vs) >= limit:
+            return
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            inside = adj[w] & s
+            if inside & (inside - 1):
+                continue
+            d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
+            grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
+            new_ext = ext | (adj[w] & above & ~closed)
+            yield from extend(s | low, vs + (w,), new_ext, closed | adj[w] | low, grown)
+
+    for v in range(g.n):
+        above = -1 << (v + 1)
+        yield from extend(1 << v, (v,), adj[v] & above, (1 << v) | adj[v], 0)
+
+
+def _assert_walk_is_the_reference(g: Graph, limits) -> None:
+    # The walk at each limit must equal the reference's list, vertex order and
+    # leaf counts included.  One reference walk at the top limit serves every
+    # limit: its sets of at most max(limit, 1) vertices, in its order, are its
+    # walk at that limit.  No walk is held as a whole list.
+    walks = {limit: subtrees._induced_trees(g, limit) for limit in limits}
+    for item in _recursive_induced_trees(g, max(limits)):
+        for limit, walk in walks.items():
+            if len(item[0]) <= max(limit, 1):
+                assert next(walk, None) == item, (sorted(g.edges), limit)
+    for limit, walk in walks.items():
+        assert next(walk, None) is None, (sorted(g.edges), limit)
+
+
+def test_walk_matches_the_recursive_engine_on_the_atlas():
+    for g in _atlas_graphs():
+        for limit in range(g.n + 1):  # the reference run at each limit itself
+            _assert_walk_is_the_reference(g, [limit])
+
+
+@pytest.mark.parametrize("g", [wheel(18), fk_tree(3), caterpillar_graph(rc("1" * 15 + "0"))],
+                         ids=["wheel-18", "fk-3", "star-caterpillar"])
+def test_walk_matches_the_recursive_engine_on_families(g):
+    _assert_walk_is_the_reference(g, range(g.n + 1))
+
+
+def test_walk_matches_the_recursive_engine_at_the_deepest_stack():
+    # a random recursive tree on BRUTEFORCE_MAX_N vertices: the whole graph is
+    # an induced tree, so the walk grows one set to the cap
+    rng = random.Random(25)
+    n = subtrees.BRUTEFORCE_MAX_N
+    g = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+    assert is_tree(g)
+    _assert_walk_is_the_reference(g, [n])
+
+
 def test_negative_size_rejected():
     with pytest.raises(ValueError, match="i=-1 outside 0..3"):
         fully_leafed_witness(chain(3), -1)
@@ -426,13 +490,18 @@ def test_connected_noncomplete_l3_is_2():
         assert leaf_function_bruteforce(g).values[3] == 2
 
 
+def _atlas_graphs():
+    """The 1,253 graphs of networkx's atlas, every graph on up to 7 vertices."""
+    for ag in graph_atlas_g():
+        yield Graph.from_edges(len(ag), [(int(u), int(v)) for u, v in ag.edges()])
+
+
 def test_atlas_is_an_exhaustive_oracle():
     # every graph on up to 7 vertices: brute force yields exactly its induced
     # trees with their own leaf counts, and its leaf functions obey the step laws
     distinct = [set() for _ in range(8)]
-    for ag in graph_atlas_g():
-        n = len(ag)
-        g = Graph.from_edges(n, [(int(u), int(v)) for u, v in ag.edges()])
+    for g in _atlas_graphs():
+        n = g.n
         _assert_leaf_counts_carried(g)
         values = leaf_function_bruteforce(g).values
         distinct[n].add(values)
@@ -443,6 +512,21 @@ def test_atlas_is_an_exhaustive_oracle():
                 # down by at most one holds only up to 7 vertices
                 assert -1 <= b - a <= 1, (sorted(g.edges), values)
     assert [len(d) for d in distinct] == [1, 1, 2, 3, 5, 8, 14, 25]
+
+
+def test_witnesses_on_the_atlas():
+    # None exactly at -inf, else an i-set with L(i) leaves: the first best
+    # set of a full scan, the one fully_leafed_witness's shorter scan keeps
+    for g in _atlas_graphs():
+        values = leaf_function_bruteforce(g).values
+        full = subtrees._scan(g, g.n)[1]
+        for i in range(g.n + 1):
+            witness = fully_leafed_witness(g, i)
+            assert (witness is None) == (values[i] is NEG_INF), (sorted(g.edges), i)
+            if witness is not None:
+                assert len(set(witness)) == len(witness) == i, (sorted(g.edges), i)
+                assert _subset_leaves(g, witness) == values[i], (sorted(g.edges), i)
+                assert witness == tuple(sorted(full[i])), (sorted(g.edges), i)
 
 
 def test_cone_over_path_drops_by_two():

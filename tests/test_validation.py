@@ -10,7 +10,7 @@ import pytest
 from leafcat import catseq as cs
 from leafcat import leafwords as lw
 from leafcat import words as wd
-from leafcat.graph import Graph, chain
+from leafcat.graph import Graph, chain, wheel
 from leafcat.subtrees import leaf_function_bruteforce
 from leafcat.verify import run_suite
 
@@ -145,6 +145,8 @@ MALFORMED = [
     (lw.leaf_function_from_word, (BAD_WORD,)),
     (lw.leaf_equivalent, (BAD_WORD, "01")),
     (lw.leaf_equivalent, ("01", BAD_WORD)),
+    (Graph.degree, (wheel(4), -1)),
+    (Graph.degree, (wheel(4), 5)),
 ]
 
 # public functions that take no word or sequence, or report a bad one in
@@ -191,6 +193,8 @@ NOT_AN_INT = [
     (lambda: leaf_function_bruteforce(chain(3), max_n=20.0), "max_n=20.0"),
     (lambda: wd.f1("01", True), "i=True"),
     (lambda: cs.left((3,), 3.0), "i=3.0"),
+    (lambda: wheel(4).degree(True), "vertex=True"),
+    (lambda: wheel(4).degree(1.0), "vertex=1.0"),
     # from_edges checks both ends before it orders an edge
     *[pytest.param(lambda e=e: Graph.from_edges(30, [e]), named, id=f"from_edges-{e[0]!r}-{e[1]!r}")
       for e, named in [((0.0, 2), "vertex=0.0"), ((0.0, 28), "vertex=0.0"), ((None, 1), "vertex=None"),
