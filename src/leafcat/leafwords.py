@@ -24,7 +24,7 @@ def delta_leaf_word(lf: LeafFunction) -> LeafWord:
     letters = []
     for i in range(1, lf.n - 2):
         a, b = lf.values[i + 2], lf.values[i + 3]
-        if a is NEG_INF or b is NEG_INF:
+        if b is NEG_INF:  # a is -inf only if b is: -inf entries form a suffix
             letters.append(OMEGA)
         else:
             letters.append(b - a)

@@ -2,11 +2,11 @@
 
 The brute-force engine is one generator, `_induced_trees`: Wernicke's ESU
 enumerator (2006) restricted to trees, walked as one loop over an explicit
-stack, so a set of any size is yielded from one generator frame.  It grows
-vertex sets from each anchor, above the anchor only, by exclusive-neighborhood
-extension, never by a vertex that closes a cycle, so each induced tree comes
-once, its leaf count carried from the tree it grew from.  Leaf functions,
-witnesses and the per-size enumeration read it, and it checks the tree DP.
+stack.  It grows vertex sets from each anchor, above the anchor only, by
+exclusive-neighborhood extension, never by a vertex that closes a cycle, so
+each induced tree comes once, its leaf count carried from the tree it grew
+from.  It records each size's best leaf count and first set to reach it, for
+leaf functions, witnesses and the tree DP's check, and yields sets of one size.
 """
 
 from __future__ import annotations
@@ -20,22 +20,28 @@ if TYPE_CHECKING:  # the verify suites run the tree DP on levels and need no Gra
     from .graph import Graph
 
 
-def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(vertices, leaf count) of each connected set of size <= max(limit, 1)
-    that induces a tree, each set once, its vertices in the order they joined.
+def _induced_trees(g: Graph, limit: int, best: list, first: list) -> Iterator[tuple[int, int]]:
+    """(vertex mask, leaf count) of each set of exactly max(limit, 1) vertices
+    that induces a tree, each set once.  Each induced tree of at most that
+    size whose leaf count beats best[size], below 0 until a tree of that size
+    is found, writes its count there and its mask to first[size].
 
     Order: anchors ascending, then depth-first, lowest available vertex first.
     No set is grown by a vertex with two neighbours in it: each set on the way
-    to an induced tree is a tree too.  Leaf counts carry over in O(1) per step.
-    One loop over an explicit stack yields every set from this generator frame.
+    to an induced tree is a tree too, and a vertex next to the set may enter
+    an extension, to be refused.  Leaf counts carry over in O(1) per step.
     """
     adj = g.adj_masks
+    if g.n:
+        best[1], first[1] = 0, 1  # each vertex alone is a tree without leaves
     for v in range(g.n):
+        if limit <= 1:
+            yield 1 << v, 0
+            continue
         above = -1 << (v + 1)
-        yield (v,), 0
-        stack = [(1 << v, (v,), adj[v] & above if limit > 1 else 0, (1 << v) | adj[v], 0)]
+        stack = [(1 << v, 2, adj[v] & above, 0)]  # (set, size of the sets grown from it, ...)
         while stack:
-            s, vs, ext, closed, leaves = stack.pop()
+            s, size, ext, leaves = stack.pop()
             while ext:
                 low = ext & -ext
                 ext ^= low
@@ -45,12 +51,22 @@ def _induced_trees(g: Graph, limit: int) -> Iterator[tuple[tuple[int, ...], int]
                     continue
                 d = (adj[inside.bit_length() - 1] & s).bit_count()  # of w's one neighbour, u
                 grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
-                grown_vs = vs + (w,)
-                yield grown_vs, grown
-                if len(grown_vs) < limit:  # descend; the frame left resumes at ext
-                    stack.append((s, vs, ext, closed, leaves))
-                    s, vs, ext, leaves = s | low, grown_vs, ext | (adj[w] & above & ~closed), grown
-                    closed |= adj[w] | low
+                if grown > best[size]:
+                    best[size], first[size] = grown, s | low
+                if size == limit:
+                    yield s | low, grown
+                else:  # descend; the frame left resumes at ext
+                    stack.append((s, size, ext, leaves))
+                    s, size, ext, leaves = s | low, size + 1, ext | (adj[w] & above & ~s), grown
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a set mask, ascending."""
+    vs = []
+    while mask:
+        vs.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(vs)
 
 
 def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
@@ -61,24 +77,17 @@ def enumerate_induced_subtrees(g: Graph, i: int) -> Iterator[tuple[int, ...]]:
     if i == 0:
         yield ()
         return
-    for vs, _ in _induced_trees(g, i):
-        if len(vs) == i:
-            yield tuple(sorted(vs))
+    for mask, _ in _induced_trees(g, i, [-1] * (g.n + 1), [0] * (g.n + 1)):
+        yield _vertices(mask)
 
 
-def _scan(g: Graph, limit: int):
-    """Best leaf count per size over the induced trees of at most `limit`
-    vertices, and the first witness attaining it, in join order (strict
-    improvements only: the earliest such set in enumeration order, which
-    `limit` keeps)."""
-    best: list[int | None] = [0] + [None] * g.n
-    witness: list[tuple[int, ...] | None] = [()] + [None] * g.n
-    for vs, leaves in _induced_trees(g, limit):
-        size = len(vs)
-        if best[size] is None or leaves > best[size]:
-            best[size] = leaves
-            witness[size] = vs
-    return best, witness
+def _scan(g: Graph, limit: int) -> tuple[list[int], list[int]]:
+    """Per size up to `limit`, the best leaf count (-1 if none) and the mask
+    of the first set in walk order to reach it, which `limit` keeps."""
+    best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
+    for _ in _induced_trees(g, limit, best, first):
+        pass
+    return best, first
 
 
 def leaf_function_bruteforce(g: Graph, max_n: int = DEFAULT_MAX_N) -> LeafFunction:
@@ -86,7 +95,7 @@ def leaf_function_bruteforce(g: Graph, max_n: int = DEFAULT_MAX_N) -> LeafFuncti
     check_range("max_n", max_n, 0, BRUTEFORCE_MAX_N)
     check_range("n", g.n, 0, max_n)
     best, _ = _scan(g, g.n)
-    return LeafFunction(g.n, tuple(NEG_INF if b is None else b for b in best))
+    return LeafFunction(g.n, tuple(NEG_INF if b < 0 else b for b in best))
 
 
 def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
@@ -97,8 +106,8 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
     check_range("i", i, 0, g.n)
     check_range("max_n", max_n, 0, BRUTEFORCE_MAX_N)
     check_range("n", g.n, 0, max_n)
-    _, witness = _scan(g, i)
-    return None if witness[i] is None else tuple(sorted(witness[i]))
+    best, first = _scan(g, i)
+    return None if best[i] < 0 else _vertices(first[i])
 
 
 # ---------------------------------------------------------------------------

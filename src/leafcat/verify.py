@@ -46,10 +46,6 @@ class VerifyReport(Record):
         return out
 
 
-def _all_words(max_len: int) -> list[str]:
-    return list(words._binary_words(max_len))
-
-
 def _claim(claim: str, bound: int, cases, law) -> VerifyReport:
     """Check one law on every case, an argument tuple for `law`.
 
@@ -101,9 +97,9 @@ def suite_poset(max_size: int = 7) -> list[VerifyReport]:
 def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
     check_range("max_len", max_len, *SUITE_BOUNDS["morphism"])
     pair_len = min(max_len, 6)
-    pair_words = _all_words(pair_len)
-    all_words = _all_words(max_len)
-    triple_words = _all_words(4)
+    pair_words = list(words._binary_words(pair_len))
+    all_words = list(words._binary_words(max_len))
+    triple_words = list(words._binary_words(4))
     # rc of every word the laws below read; rc(u + v) and rc(w + a) are
     # themselves laws, so those stay calls
     rc = {w: words.rc(w) for w in all_words + triple_words}
@@ -206,7 +202,7 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
     normal = (w for n in range(max_len + 1) for w in words.enumerate_pnw(n))
     return [
         _claim("roundtrip-prefix-normal", max_len, zip(normal), read_back),
-        _claim("roundtrip-general", gen_bound, zip(_all_words(gen_bound)), to_normal_form),
+        _claim("roundtrip-general", gen_bound, zip(words._binary_words(gen_bound)), to_normal_form),
     ]
 
 
@@ -216,7 +212,7 @@ def suite_roundtrip(max_len: int = 12) -> list[VerifyReport]:
 
 def suite_leaf_equivalence(max_len: int = 8) -> list[VerifyReport]:
     check_range("max_len", max_len, *SUITE_BOUNDS["leaf-equivalence"])
-    all_words = _all_words(max_len)
+    all_words = list(words._binary_words(max_len))
     lfs = {w: catseq.leaf_function_caterpillar(words.rc(w)) for w in all_words}
     profs = {w: words.f1_profile(w) for w in all_words}
 

@@ -198,15 +198,29 @@ def test_witness_is_fully_leafed_on_random_graphs(g, data):
         assert _subset_leaves(g, witness) == best
 
 
+def _mask(vs) -> int:
+    return sum(1 << v for v in vs)
+
+
 def _assert_leaf_counts_carried(g: Graph):
-    # every yielded count is the subset's own, and the yielded sets are
-    # exactly the induced trees, each once
-    yielded = list(subtrees._induced_trees(g, g.n))
-    for vs, leaves in yielded:
-        assert leaves == _subset_leaves(g, vs), (sorted(g.edges), vs)
-    trees = [vs for i in range(1, g.n + 1) for vs in itertools.combinations(range(g.n), i)
-             if _subset_leaves(g, vs) is not None]
-    assert sorted(tuple(sorted(vs)) for vs, _ in yielded) == sorted(trees), sorted(g.edges)
+    # at every limit the walk yields exactly the induced trees of that size,
+    # each once with its own leaf count, and its table holds, at each size up
+    # to the limit, the subsets' best count and a set that has it
+    trees = [{} for _ in range(g.n + 1)]
+    for i in range(1, g.n + 1):
+        for vs in itertools.combinations(range(g.n), i):
+            leaves = _subset_leaves(g, vs)
+            if leaves is not None:
+                trees[i][_mask(vs)] = leaves
+    for limit in range(1, g.n + 1):
+        best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
+        yielded = list(subtrees._induced_trees(g, limit, best, first))
+        assert sorted(yielded) == sorted(trees[limit].items()), (sorted(g.edges), limit)
+        for i in range(1, g.n + 1):
+            want = max(trees[i].values(), default=-1) if i <= limit else -1
+            assert best[i] == want, (sorted(g.edges), limit, i)
+            if i <= limit and want >= 0:
+                assert trees[i].get(first[i]) == want, (sorted(g.edges), limit, i)
 
 
 def test_leaf_counts_carried_on_families():
@@ -273,9 +287,9 @@ def test_witness_scan_stops_at_its_size():
         graphs.append(Graph.from_edges(14, [e for e in itertools.combinations(range(14), 2)
                                             if rng.random() < 0.3]))
     for g in graphs:
-        _, full = subtrees._scan(g, g.n)
+        best, first = subtrees._scan(g, g.n)
         for i in sorted({0, 1, 2, 4, 6, 8, g.n}):
-            expected = None if full[i] is None else tuple(sorted(full[i]))
+            expected = None if best[i] < 0 else tuple(v for v in range(g.n) if first[i] >> v & 1)
             assert fully_leafed_witness(g, i) == expected, (sorted(g.edges), i)
 
 
@@ -322,17 +336,30 @@ def _recursive_induced_trees(g: Graph, limit: int):
 
 
 def _assert_walk_is_the_reference(g: Graph, limits) -> None:
-    # The walk at each limit must equal the reference's list, vertex order and
-    # leaf counts included.  One reference walk at the top limit serves every
-    # limit: its sets of at most max(limit, 1) vertices, in its order, are its
-    # walk at that limit.  No walk is held as a whole list.
-    walks = {limit: subtrees._induced_trees(g, limit) for limit in limits}
-    for item in _recursive_induced_trees(g, max(limits)):
-        for limit, walk in walks.items():
-            if len(item[0]) <= max(limit, 1):
-                assert next(walk, None) == item, (sorted(g.edges), limit)
-    for limit, walk in walks.items():
+    # The walk at each limit must yield exactly the reference's sets of
+    # max(limit, 1) vertices, in its order, as masks with their leaf counts,
+    # and its table must hold the reference's first strict maximum at each
+    # size up to max(limit, 1).  One reference walk at the top limit serves
+    # every limit: its sets of at most max(limit, 1) vertices, in its order,
+    # are its walk at that limit.  No walk is held as a whole list.
+    tables, walks = {}, {}  # walks: the size they yield -> [(limit, walk)]
+    for limit in limits:
+        tables[limit] = [0] + [-1] * g.n, [0] * (g.n + 1)
+        walk = subtrees._induced_trees(g, limit, *tables[limit])
+        walks.setdefault(max(limit, 1), []).append((limit, walk))
+    best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
+    for vs, leaves in _recursive_induced_trees(g, max(limits)):
+        size, mask = len(vs), _mask(vs)
+        if leaves > best[size]:
+            best[size], first[size] = leaves, mask
+        for limit, walk in walks.get(size, ()):
+            assert next(walk, None) == (mask, leaves), (sorted(g.edges), limit)
+    for limit, walk in itertools.chain.from_iterable(walks.values()):
         assert next(walk, None) is None, (sorted(g.edges), limit)
+        top = max(limit, 1)
+        cut = [-1] * (g.n - top)
+        assert tables[limit] == (best[:top + 1] + cut, first[:top + 1] + [0] * len(cut)), (
+            sorted(g.edges), limit)
 
 
 def test_walk_matches_the_recursive_engine_on_the_atlas():
@@ -519,14 +546,14 @@ def test_witnesses_on_the_atlas():
     # set of a full scan, the one fully_leafed_witness's shorter scan keeps
     for g in _atlas_graphs():
         values = leaf_function_bruteforce(g).values
-        full = subtrees._scan(g, g.n)[1]
+        first = subtrees._scan(g, g.n)[1]
         for i in range(g.n + 1):
             witness = fully_leafed_witness(g, i)
             assert (witness is None) == (values[i] is NEG_INF), (sorted(g.edges), i)
             if witness is not None:
                 assert len(set(witness)) == len(witness) == i, (sorted(g.edges), i)
                 assert _subset_leaves(g, witness) == values[i], (sorted(g.edges), i)
-                assert witness == tuple(sorted(full[i])), (sorted(g.edges), i)
+                assert _mask(witness) == first[i], (sorted(g.edges), i)
 
 
 def test_cone_over_path_drops_by_two():

@@ -25,7 +25,7 @@ def no_enumeration(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(verify.catseq, "all_sequences", started)
-    monkeypatch.setattr(verify, "_all_words", started)
+    monkeypatch.setattr(verify.words, "_binary_words", started)
     monkeypatch.setattr(verify, "_free_tree_levels", started)
     for suite in verify.SUITES:
         monkeypatch.setattr(verify, f"suite_{suite.replace('-', '_')}", started)

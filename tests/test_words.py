@@ -42,9 +42,15 @@ def test_f1_matches_bruteforce():
         for i in range(len(w) + 1):
             assert wd.f1(w, i) == profile[i]
         assert wd.f1_profile(w) == profile
-        excess = max(f - w[:i].count("1") for i, f in enumerate(profile))
-        for k in range(4):
-            assert wd.is_k_prefix_normal(w, k) == (excess <= k)
+
+
+def test_k_prefix_normal_matches_the_definition():
+    # every factor has at most k more ones than the prefix of its length
+    for w in all_words(10):
+        excess = max(w[j:j + i].count("1") - w[:i].count("1")
+                     for i in range(len(w) + 1) for j in range(len(w) - i + 1))
+        for k in range(7):
+            assert wd.is_k_prefix_normal(w, k) == (excess <= k), (w, k)
 
 
 @given(st.text(alphabet="01", max_size=200))
