@@ -23,7 +23,7 @@ FREE_TREE_MAX_N = 14
 # the longest words enumerate_pnw lists
 ENUM_MAX_LEN = 22
 # the longest word a public function takes; F1 profiles are O(n^2), and pnf
-# takes about 0.9 s at this length (one core of a 2-vCPU VM)
+# takes 0.6 to 0.9 s at this length (one core of a 2-vCPU VM, Python 3.11)
 WORD_MAX_LEN = 5000
 # the largest k of is_k_prefix_normal; no factor of a word of at most
 # WORD_MAX_LEN letters has more ones than that

@@ -40,7 +40,7 @@ def spine_degrees(s: CatSeq) -> tuple[int, ...]:
     check_sequence(s)
     if len(s) == 1:
         return (s[0],)
-    return (s[0] + 1,) + tuple(x + 2 for x in s[1:-1]) + (s[-1] + 1,)
+    return (s[0] + 1, *map((2).__add__, s[1:-1]), s[-1] + 1)
 
 
 def _dominated(ds: tuple[int, ...], db: tuple[int, ...]) -> bool:

@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
-    p.add_argument("--suite", default="all", choices=("all", *SUITE_BOUNDS, *SUITE_ALIASES))
+    p.add_argument("--suite", default="all", choices=("all", *SUITE_BOUNDS, *SUITE_ALIASES),
+                   help="all runs each suite at its default bound, trees at 12; the n=13 claim "
+                        "needs --suite trees --max-n 13")
     p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
         f"{name} {low}..{high}" for name, (low, high) in SUITE_BOUNDS.items()))
 

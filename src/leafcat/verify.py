@@ -7,7 +7,7 @@ a claim passes iff it records none.
 from __future__ import annotations
 
 import time
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
 from .bounds import SUITE_ALIASES, SUITE_BOUNDS, LeafFunction, Record, check_range
@@ -100,27 +100,32 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
     pair_words = list(words._binary_words(pair_len))
     all_words = list(words._binary_words(max_len))
     triple_words = list(words._binary_words(4))
-    # rc of every word the laws below read; rc(u + v) and rc(w + a) are
-    # themselves laws, so those stay calls
+    # rc, size, leaves and reversal of every word the laws below read, and the
+    # graft of each pair of triple words; rc(u + v), rc(w + a) and what is
+    # applied to a graft are themselves laws, so those stay calls
     rc = {w: words.rc(w) for w in all_words + triple_words}
-    pairs = [(u, v) for u in pair_words for v in pair_words]
+    sz = {w: catseq.size(s) for w, s in rc.items()}
+    lv = {w: catseq.leaves(s) for w, s in rc.items()}
+    rev = {w: catseq.reversal(s) for w, s in rc.items()}
+    gp = {(u, v): catseq.graft(rc[u], rc[v]) for u, v in product(triple_words, repeat=2)}
 
-    def monoid(a, b=None, c=None):
-        """The identity law on one sequence, associativity on three."""
-        if b is None:  # rc("") is (2), the identity
+    def monoid(u, v=None, x=None):
+        """The identity law on one word's sequence, associativity on three."""
+        a = rc[u]
+        if v is None:  # rc("") is (2), the identity
             if catseq.graft(a, rc[""]) != a or catseq.graft(rc[""], a) != a:
                 yield f"identity fails for {a}"
-        elif catseq.graft(catseq.graft(a, b), c) != catseq.graft(a, catseq.graft(b, c)):
-            yield f"associativity fails for {a},{b},{c}"
+        elif catseq.graft(gp[u, v], rc[x]) != catseq.graft(a, gp[v, x]):
+            yield f"associativity fails for {a},{rc[v]},{rc[x]}"
 
     def additive(u, v):
         a, b = rc[u], rc[v]
         g = catseq.graft(a, b)
-        if catseq.size(g) != catseq.size(a) + catseq.size(b) - 3:
+        if catseq.size(g) != sz[u] + sz[v] - 3:
             yield f"size additivity fails for {a},{b}"
-        if catseq.leaves(g) != catseq.leaves(a) + catseq.leaves(b) - 2:
+        if catseq.leaves(g) != lv[u] + lv[v] - 2:
             yield f"leaf additivity fails for {a},{b}"
-        if catseq.reversal(g) != catseq.graft(catseq.reversal(b), catseq.reversal(a)):
+        if catseq.reversal(g) != catseq.graft(rev[v], rev[u]):
             yield f"reversal law fails for {a},{b}"
         if not (catseq.is_subsequence(a, g) and catseq.is_subsequence(b, g)):
             yield f"factors not below graft for {a},{b}"
@@ -130,19 +135,19 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
         if v is not None:
             if words.rc(u + v) != catseq.graft(rc[u], rc[v]):
                 yield f"rc({u}+{v}) != graft"
-        elif rc[u[::-1]] != catseq.reversal(rc[u]):
+        elif rc[u[::-1]] != rev[u]:
             yield f"rc reversal fails for {u}"
 
     def reading(w, i):
         s = rc[w]
         if i == 3:  # the laws on the whole of w, once per word
             n = len(w) + 3
-            if catseq.size(s) != n:
+            if sz[w] != n:
                 yield f"size(rc({w})) != {n}"
-            if catseq.leaves(s) != w.count("1") + 2:
+            if lv[w] != w.count("1") + 2:
                 yield f"leaves(rc({w})) != |w|_1+2"
             for a in "01":
-                if catseq.leaves(words.rc(w + a)) != catseq.leaves(s) + int(a):
+                if catseq.leaves(words.rc(w + a)) != lv[w] + int(a):
                     yield f"leaf step fails for {w}+{a}"
         pre, suf = w[: i - 3], w[len(w) - (i - 3) :]
         lt, rt = catseq.left(s, i), catseq.right(s, i)
@@ -160,7 +165,7 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
             yield f"right leaf count fails for {w}, i={i}"
         if not catseq.is_subsequence(lt, s) or not catseq.is_subsequence(rt, s):
             yield f"truncation not below for {w}, i={i}"
-        if catseq.left(catseq.reversal(s), i) != catseq.reversal(catseq.right(s, i)):
+        if catseq.left(rev[w], i) != catseq.reversal(catseq.right(s, i)):
             yield f"left/right mirror fails for {w}, i={i}"
 
     def decomposes(s, i):
@@ -168,17 +173,16 @@ def suite_morphism(max_len: int = 8) -> list[VerifyReport]:
         if catseq.graft(lo, hi) != s:
             yield f"decomposition fails for {s}, i={i}"
 
-    triples = ((rc[u], rc[v], rc[x]) for u in triple_words for v in triple_words
-               for x in triple_words)
     return [
-        _claim("graft-monoid", max_len, chain(((rc[w],) for w in all_words), triples), monoid),
-        _claim("graft-additivity", pair_len, pairs, additive),
-        _claim("rc-morphism", pair_len, chain(pairs, zip(all_words)), morphism),
+        _claim("graft-monoid", max_len,
+               chain(zip(all_words), product(triple_words, repeat=3)), monoid),
+        _claim("graft-additivity", pair_len, product(pair_words, repeat=2), additive),
+        _claim("rc-morphism", pair_len,
+               chain(product(pair_words, repeat=2), zip(all_words)), morphism),
         _claim("truncation-reading", max_len,
                ((w, i) for w in all_words for i in range(3, len(w) + 4)), reading),
         _claim("graft-decomposition", max_len,
-               ((rc[w], i) for w in all_words for i in range(3, catseq.size(rc[w]) + 1)),
-               decomposes),
+               ((rc[w], i) for w in all_words for i in range(3, sz[w] + 1)), decomposes),
     ]
 
 

@@ -8,17 +8,19 @@ prefix sums of a word already checked and never check again.
 from __future__ import annotations
 
 from itertools import accumulate, product
-from operator import sub
+from operator import add, eq, sub
 from typing import Iterator
 
 from .bounds import ENUM_MAX_LEN, K_MAX, WORD_MAX_LEN, CatSeq, _trusted, check_range
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # the bytes of '0' and '1' to the ints 0 and 1
 
 
 def check_binary(w: str) -> None:
     if not isinstance(w, str):  # a list or tuple of strings has a length and letters too
         raise ValueError(f"not a binary word: {w!r}")
     check_range("word length", len(w), 0, WORD_MAX_LEN)
-    if any(c not in "01" for c in w):
+    if w.strip("01"):  # stripping 0s and 1s from both ends stops at any other letter
         raise ValueError(f"not a binary word: {w!r}")
 
 
@@ -27,21 +29,21 @@ def prefix_ones(w: str) -> tuple[int, ...]:
     check_binary(w)
     # a tuple display knows its length; tuple() of an iterator would allocate
     # a guessed size and resize, which fills the small-tuple free lists
-    return (0, *accumulate(map(int, w)))
+    return (0, *accumulate(w.encode().translate(_BITS)))
 
 
 def _f1s(pre: tuple[int, ...]) -> Iterator[int]:
     """F1(w, i) for i = 0..|w|, lazily, from the prefix sums of w: the best
-    window of length i is the largest difference pre[j + i] - pre[j]."""
-    n = len(pre) - 1
-    return (max(map(sub, pre[i:], pre[: n + 1 - i])) for i in range(n + 1))
+    window of length i is the largest difference pre[j + i] - pre[j]; `map`
+    stops at the end of pre[i:]."""
+    return (max(map(sub, pre[i:], pre)) for i in range(len(pre)))
 
 
 def f1(w: str, i: int) -> int:
     """Maximal number of 1s in a factor of length i, as `_f1s` finds it."""
     pre = prefix_ones(w)
     check_range("i", i, 0, len(w))
-    return max(map(sub, pre[i:], pre[: len(pre) - i]))
+    return max(map(sub, pre[i:], pre))
 
 
 def f1_profile(w: str) -> tuple[int, ...]:
@@ -49,14 +51,11 @@ def f1_profile(w: str) -> tuple[int, ...]:
     return tuple(_f1s(prefix_ones(w)))
 
 
-def _normal(pre: tuple[int, ...]) -> bool:
-    """Prefix normality from the prefix sums: F1 equals them at every length."""
-    return all(f == p for f, p in zip(_f1s(pre), pre))
-
-
 def is_prefix_normal(w: str) -> bool:
-    """True iff every prefix has at least as many 1s as any equal-length factor."""
-    return _normal(prefix_ones(w))
+    """True iff every prefix has at least as many 1s as any equal-length factor:
+    F1 equals the prefix sums at every length."""
+    pre = prefix_ones(w)
+    return all(map(eq, _f1s(pre), pre))
 
 
 def pn_violation(w: str):
@@ -124,8 +123,10 @@ def enumerate_pnw(n: int) -> Iterator[str]:
     """All prefix normal words of length n, in lexicographic order.
 
     Prefix normal words are closed under taking prefixes, so the search tree
-    is pruned at the first non-normal prefix.  A generator: n is checked at the
-    first next(), not at the call.
+    is pruned at the first non-normal prefix.  Only a new suffix can break
+    normality, and a 0 breaks none: w1 is normal iff its suffix of each length
+    L <= |w| has at most pre[L] ones.  A generator: n is checked at the first
+    next(), not at the call.
     """
     check_range("n", n, 0, ENUM_MAX_LEN)
 
@@ -133,9 +134,11 @@ def enumerate_pnw(n: int) -> Iterator[str]:
         if len(w) == n:
             yield w
             return
-        for a in (0, 1):
-            ext = pre + (pre[-1] + a,)
-            if _normal(ext):
-                yield from grow(w + "01"[a], ext)
+        yield from grow(w + "0", pre + (pre[-1],))
+        # the suffix of length L has ones - pre[len(w) + 1 - L] ones, and pre[::-1]
+        # lists pre[len(w) + 1 - L] for L = 1..len(w) as pre[1:] lists pre[L]
+        ones = pre[-1] + 1
+        if min(map(add, pre[1:], pre[::-1]), default=ones) >= ones:
+            yield from grow(w + "1", pre + (ones,))
 
     yield from grow("", (0,))

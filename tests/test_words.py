@@ -26,6 +26,59 @@ def brute_is_pn(w):
     return all(w[:i].count("1") >= brute_f1(w, i) for i in range(1, len(w) + 1))
 
 
+def binary_verdict(w):
+    """check_binary's message for w, or None if it accepts w."""
+    try:
+        wd.check_binary(w)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def letter_verdict(w):
+    return None if set(w) <= {"0", "1"} else f"not a binary word: {w!r}"
+
+
+def test_check_binary_matches_the_letter_set():
+    # every word of up to 8 letters over "01a2 " (488,281 words, about 1 s)
+    for n in range(9):
+        for letters in itertools.product("01a2 ", repeat=n):
+            w = "".join(letters)
+            assert binary_verdict(w) == letter_verdict(w), w
+
+
+@pytest.mark.parametrize("w", ["a0101", "01x01", "01012", " 0", "0 ", "0\n1", "\u0660",
+                               "\uff10", "\uff11", "\u00b9", "01\u00b9", "\uff1001"])
+def test_check_binary_rejects_any_other_letter(w):
+    # a bad letter at the start, in the middle or at the end, and digits that
+    # are not ASCII: Arabic-Indic zero, fullwidth 0 and 1, superscript one
+    assert binary_verdict(w) == letter_verdict(w) == f"not a binary word: {w!r}"
+
+
+@given(st.text(max_size=30) | st.text(alphabet="01\uff10\u00b9a ", max_size=30))
+@settings(max_examples=300)
+def test_check_binary_matches_the_letter_set_on_any_text(w):
+    assert binary_verdict(w) == letter_verdict(w)
+
+
+def running_ones(w):
+    counts, ones = [0], 0
+    for c in w:
+        ones += c == "1"
+        counts.append(ones)
+    return tuple(counts)
+
+
+def test_prefix_ones_is_the_running_count():
+    for w in all_words(10):
+        assert wd.prefix_ones(w) == running_ones(w), w
+
+
+@given(st.text(alphabet="01", max_size=300))
+def test_prefix_ones_is_the_running_count_on_long_words(w):
+    assert wd.prefix_ones(w) == running_ones(w)
+
+
 def test_f1_examples():
     assert wd.f1("00110101100", 5) == 3
     assert wd.f1("1101011011", 5) == 4
@@ -190,7 +243,8 @@ def test_enumerate_pnw_small():
 
 
 def test_enumerate_pnw_matches_filter():
-    for n in range(11):
+    # every length up to 14, in lexicographic order: the filter costs about 0.5 s
+    for n in range(15):
         expected = sorted(w for w in ("".join(b) for b in itertools.product("01", repeat=n))
                           if brute_is_pn(w))
         assert list(wd.enumerate_pnw(n)) == expected
