@@ -155,31 +155,21 @@ def all_sequences(max_size: int) -> list[CatSeq]:
 def hasse_covers(max_size: int) -> set[tuple[CatSeq, CatSeq]]:
     """Cover relations (lower, upper) of the order restricted to size <= max_size.
 
-    The order is size-monotone, so restricting to a size bound does not
-    create spurious covers.
+    The order is graded by size, so the covers are exactly the related pairs
+    of consecutive sizes.  Size = sum(spine degrees) - k + 2 is strictly
+    monotone.  For s < t, take a window of t's spine degrees that dominates
+    s: if it leaves out an end of t, drop a leaf at that end (with a single
+    leaf there, this removes the end's degree); otherwise some degree of t
+    exceeds that of s and is at least 3, so drop a leaf there.  Either way
+    this gives u of size size(t) - 1 with s <= u < t.
     """
     check_range("max_size", max_size, 0, HASSE_MAX_SIZE)
     seqs = all_sequences(max_size)
-    degrees = [spine_degrees(s) for s in seqs]
-    m = len(seqs)
-    below = [0] * m  # below[j]: bitmask of strict predecessors of seqs[j]
-    above = [0] * m
-    for i, x in enumerate(degrees):
-        for j, y in enumerate(degrees):
-            if i != j and _dominated(x, y):
-                below[j] |= 1 << i
-                above[i] |= 1 << j
-    covers = set()
-    for j in range(m):
-        mask = below[j]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            i = low.bit_length() - 1
-            # cover iff no z with x < z < y
-            if not (below[j] & above[i]):
-                covers.add((seqs[i], seqs[j]))
-    return covers
+    pairs = list(zip(seqs, map(spine_degrees, seqs)))
+    # the 2**k sequences of size k + 3 start at index 2**k - 1
+    blocks = [pairs[2 ** k - 1:2 ** (k + 1) - 1] for k in range(max_size - 2)]
+    return {(x, y) for lower, upper in zip(blocks, blocks[1:])
+            for x, dx in lower for y, dy in upper if _dominated(dx, dy)}
 
 
 def hasse_dot(max_size: int) -> str:

@@ -66,9 +66,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     Relabeling preserves relative order: new index i corresponds to the
     i-th smallest original vertex, i.e. the index map is sorted(vertices).
     """
-    vs = sorted(set(vertices))
-    for v in vs:
+    vertices = list(vertices)
+    for v in vertices:  # each one as given: an equal int must not hide a non-int
         check_range("vertex", v, 0, g.n - 1)
+    vs = sorted(set(vertices))
     index = {v: i for i, v in enumerate(vs)}
     edges = [(index[u], index[v]) for u, v in g.sorted_edges() if u in index and v in index]
     return Graph.from_edges(len(vs), edges)
@@ -212,9 +213,10 @@ def read_edge_list(text: str) -> Graph:
 
 def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
     """Graphviz export; vertices in `highlight` get color=blue."""
-    hi = set(highlight)
-    for v in sorted(hi):
+    highlight = list(highlight)
+    for v in highlight:
         check_range("vertex", v, 0, g.n - 1)
+    hi = set(highlight)
     lines = ["graph G {"]
     for v in range(g.n):
         attr = " [color=blue]" if v in hi else ""

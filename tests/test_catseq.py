@@ -231,6 +231,25 @@ def test_hasse_covers():
     assert all(cs.is_subsequence((2,), s) for s in seqs)
 
 
+def test_hasse_covers_are_the_transitive_reduction():
+    """The covers against networkx's transitive reduction of the order, as
+    the public is_subsequence gives it, on every size bound up to 10."""
+    import networkx as nx
+
+    seqs = cs.all_sequences(10)
+    order = nx.DiGraph([(x, y) for x in seqs for y in seqs if x != y and cs.is_subsequence(x, y)])
+    for m in range(11):
+        upto_m = order.subgraph(s for s in seqs if cs.size(s) <= m)
+        assert cs.hasse_covers(m) == set(nx.transitive_reduction(upto_m).edges)
+
+
+def test_hasse_covers_join_consecutive_sizes():
+    counts = [len(cs.hasse_covers(m)) for m in range(12)]
+    covers = cs.hasse_covers(12)
+    assert counts + [len(covers)] == [0, 0, 0, 0, 2, 8, 23, 58, 137, 312, 695, 1526, 3317]
+    assert all(cs.size(hi) == cs.size(lo) + 1 for lo, hi in covers)
+
+
 def test_poset_restricted_to_size_6_is_not_a_lattice():
     seqs = cs.all_sequences(6)
     uppers = [s for s in seqs

@@ -10,7 +10,7 @@ import pytest
 from leafcat import catseq as cs
 from leafcat import leafwords as lw
 from leafcat import words as wd
-from leafcat.graph import Graph, chain, wheel
+from leafcat.graph import Graph, chain, induced_subgraph, to_dot, wheel
 from leafcat.subtrees import leaf_function_bruteforce
 from leafcat.verify import run_suite
 
@@ -199,6 +199,15 @@ NOT_AN_INT = [
     *[pytest.param(lambda e=e: Graph.from_edges(30, [e]), named, id=f"from_edges-{e[0]!r}-{e[1]!r}")
       for e, named in [((0.0, 2), "vertex=0.0"), ((0.0, 28), "vertex=0.0"), ((None, 1), "vertex=None"),
                        (("a", 1), "vertex='a'"), ((1, True), "vertex=True")]],
+    # a vertex list is checked element by element, before it is deduplicated
+    *[pytest.param(lambda f=f, vs=vs: f(wheel(4), vs), named,
+                   id=f"{f.__name__}-{vs[0]!r}-{vs[1]!r}")
+      for f, vs, named in [(induced_subgraph, [0, "a"], "vertex='a'"),
+                           (induced_subgraph, [None, 0], "vertex=None"),
+                           (to_dot, [0, "a"], "vertex='a'"),
+                           (induced_subgraph, [1, 1.0], "vertex=1.0"),
+                           (induced_subgraph, [0, False], "vertex=False"),
+                           (to_dot, [1, True], "vertex=True")]],
 ]
 
 
