@@ -5,8 +5,8 @@ and the value types every layer shares: the value-class base `Record`, the
 from enum import Enum
 from functools import partial
 
-# the most vertices of any graph; the tree DP is O(n^2) and takes about 0.5 s
-# on a 1,000-vertex chain (one core of a 2-vCPU VM)
+# the most vertices of any graph; the tree DP is O(n^2) and takes about 0.1 s
+# on a 1,000-vertex chain (one core of a 2-vCPU VM, Python 3.11)
 GRAPH_MAX_N = 1000
 # each generator's cap on its parameter: its largest graph has at most
 # GRAPH_MAX_N vertices, and so has a caterpillar_graph
@@ -111,6 +111,12 @@ class LeafFunction(Record):
     _fields = ("n", "values")
 
     def __init__(self, n: int, values: tuple):
+        if type(n) is not int:  # bool is an int subclass
+            raise ValueError(f"n={n!r} is not an integer")
+        if n < 0:
+            raise ValueError(f"n={n} is negative")
+        if not isinstance(values, tuple):  # a list would leave the value unhashable
+            raise ValueError(f"values must be a tuple, got {type(values).__name__}")
         if len(values) != n + 1:
             raise ValueError(f"expected {n + 1} values, got {len(values)}")
         if values[0] != 0:

@@ -54,7 +54,7 @@ def classify_leaf_word(lw: LeafWord) -> str:
             non_tree = True
         elif seen_omega:
             return INVALID
-        elif not isinstance(letter, int) or letter > 1:
+        elif type(letter) is not int or letter > 1:  # bool is an int subclass
             return INVALID
         elif letter < 0:
             non_tree = True

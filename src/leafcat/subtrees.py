@@ -115,8 +115,8 @@ def fully_leafed_witness(g: Graph, i: int, max_n: int = DEFAULT_MAX_N):
 
 # An impossible knapsack entry: adding real leaf counts to it stays negative.
 _NONE = -(1 << 30)
-# the knapsack of a vertex before any child merges: the set {v} alone
-_ALONE = ([_NONE, 0], [_NONE, _NONE], [_NONE, _NONE])
+# the knapsack row of a vertex before any child merges: the set {v} alone
+_ALONE = [_NONE, 0]
 # rooted subtrees of at most this many vertices are memoised by their shape
 _MEMO_MAX_SIZE = 8
 
@@ -139,48 +139,48 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
     (arXiv:1709.09808).
 
     Every subtree S has a top vertex v, the one nearest the root.  A knapsack
-    over v's children records, per size of S and per number of chosen
-    children capped at 2, the most leaves of S other than v; v counts as a
-    leaf of S when its parent is in S and it has no chosen child, or when it
-    is the top and has exactly one.  A vertex closes once its subtree has
-    been walked, merges into its parent's knapsack and is dropped, so the live
-    rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices other than
-    the whole tree is looked up in `memo` by its shape, its slice of `levels`
-    less its own depth, and on a hit is merged without being walked; the memo
-    holds its "under parent" row and the best leaf counts of the sets topped
-    inside it.  The root closes last and has no parent: its counts are the
-    values, returned unchecked.
+    row over v's children records, per size of S, the most leaves of S other
+    than v.  Under its parent, v is a leaf of S iff S = {v}: the row with 1
+    for {v} is v's "under parent" row.  As the top, v is a leaf iff S holds
+    just one child c of v: S is {v} plus a set under c, counted as c merges;
+    the row counts it one short, so the larger count is exact.  A vertex
+    closes once its subtree has been walked, merges into its parent's row and
+    is dropped, so the live rows are O(n).  A subtree of at most
+    _MEMO_MAX_SIZE vertices other than the whole tree is looked up in `memo`
+    by its shape, its slice of `levels` less its own depth, and on a hit is
+    merged without being walked; the memo holds its "under parent" row and the
+    best leaf counts of the sets topped inside it.  The root closes last and
+    has no parent: its counts are the values, returned unchecked.
 
     A `chain` list, when given, carries the root's merges from call to call:
     at each root child after the first, the levels up to and including it,
-    the root's rows and the counts inside the root.  A call resumes at the
+    the root's row and the counts inside the root.  A call resumes at the
     last child whose prefix it shares, so consecutive trees of the census
     merge again only the root children that changed."""
     n = len(levels)
     best = [0] * (n + 1)
-    # the open vertices [depth, knapsack, memo key, inside], the root first;
-    # inside gathers the best leaf counts of the sets topped in the subtree:
-    # its own row when the subtree is memoised, else `best`
+    # the open vertices [depth, knapsack row, memo key, inside], the root
+    # first; inside gathers the best leaf counts of the sets topped in the
+    # subtree: its own row when the subtree is memoised, else `best`
     stack = [[0, _ALONE, None, best]]
     v = 1
     while True:
         d = levels[v] if v < n else 0  # at the end, close every vertex
         while stack[-1][0] >= d:
-            _, (none, one, more), key, inside = stack.pop()
-            for s in range(2, len(none)):
-                inside[s] = max(inside[s], one[s] + 1, more[s])
+            _, row, key, inside = stack.pop()
+            for s in range(2, len(row)):
+                if row[s] > inside[s]:
+                    inside[s] = row[s]
             if not stack:  # the root
                 return tuple(best)
-            # the most leaves of a set of s vertices topped by v, counting v,
-            # when v's parent is in the set too
-            under = tuple([max(none[s] + 1, one[s], more[s]) for s in range(1, len(none))])
+            under = (1, *row[2:])  # per size from 1, the most leaves counting v
             if key is not None:
                 memo[key] = under, tuple(inside)
             _merge_up(stack[-1], under, inside)
         if d == 1 and chain is not None:  # the root has merged its children before v
             root = stack[-1]
-            if v > 1:
-                chain.append((levels[:v + 1], root[1], root[3][:v]))
+            if v > 1:  # a set of the root and one child may have v vertices
+                chain.append((levels[:v + 1], root[1], root[3][:v + 1]))
             else:  # the first child: resume after the longest prefix kept in the chain
                 while chain and levels[:len(chain[-1][0])] != chain[-1][0]:
                     chain.pop()
@@ -204,18 +204,18 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
 
 def _merge_up(parent: list, under: tuple, inside) -> None:
     """Merge a closed subtree's two rows into its parent's stack entry."""
-    none, one, more = parent[1]
-    pad = [_NONE] * len(under)
-    grown = none + pad, one + pad, more + pad
-    # the subtree is one more chosen child: none -> one, one and more -> more
-    for row, out in ((none, grown[1]), (one, grown[2]), (more, grown[2])):
-        for s, a in enumerate(row):
-            if a >= 0:
-                for t, b in enumerate(under, s + 1):
-                    if a + b > out[t]:
-                        out[t] = a + b
+    row = parent[1]
+    grown = row + [_NONE] * len(under)
+    for s, a in enumerate(row):
+        if a >= 0:
+            for t, b in enumerate(under, s + 1):
+                if a + b > grown[t]:
+                    grown[t] = a + b
     parent[1] = grown
     target = parent[3]
+    for t, b in enumerate(under, 2):  # the parent and one set under the child: a leaf
+        if b >= target[t]:
+            target[t] = b + 1
     if inside is not target:
         for s, x in enumerate(inside):
             if x > target[s]:

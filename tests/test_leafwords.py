@@ -77,6 +77,9 @@ def test_classify():
     assert classify_leaf_word((OMEGA, 1)) == INVALID
     assert classify_leaf_word(()) == TREE_COMPATIBLE
     assert classify_leaf_word((0, -1)) == NON_TREE
+    # a bool is no letter, as no value check of the package takes one for an int
+    assert classify_leaf_word((True,)) == INVALID
+    assert classify_leaf_word((1, False)) == INVALID
 
 
 def test_realize_examples():

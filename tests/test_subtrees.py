@@ -696,6 +696,21 @@ def test_caterpillar_formula_matches_tree_dp(s):
     assert leaf_function_caterpillar(s) == leaf_function_tree(caterpillar_graph(s)), s
 
 
+def test_caterpillar_formula_matches_tree_dp_on_large_caterpillars():
+    # besides the chain and the star below, the only trees of hundreds of
+    # vertices: here the knapsack rows merged at a spine vertex differ in length
+    rng = random.Random(24)
+    for size in (250, 500, 750, 1000):
+        k = rng.randint(2, size // 3)
+        s = [0] * k
+        for _ in range(size - k - 2):
+            s[rng.randrange(k)] += 1
+        s[0] += 1
+        s[-1] += 1
+        s = tuple(s)
+        assert leaf_function_caterpillar(s) == leaf_function_tree(caterpillar_graph(s)), s
+
+
 def test_tree_dp_on_the_largest_chain_and_star():
     # the DP walks its tree without recursion: the chain, numbered from an
     # end, is GRAPH_MAX_N - 1 levels deep

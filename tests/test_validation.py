@@ -11,7 +11,7 @@ from leafcat import catseq as cs
 from leafcat import leafwords as lw
 from leafcat import words as wd
 from leafcat.graph import Graph, chain, induced_subgraph, to_dot, wheel
-from leafcat.subtrees import leaf_function_bruteforce
+from leafcat.subtrees import LeafFunction, leaf_function_bruteforce
 from leafcat.verify import run_suite
 
 BAD_WORD = "012"
@@ -195,6 +195,9 @@ NOT_AN_INT = [
     (lambda: cs.left((3,), 3.0), "i=3.0"),
     (lambda: wheel(4).degree(True), "vertex=True"),
     (lambda: wheel(4).degree(1.0), "vertex=1.0"),
+    (lambda: LeafFunction(2.0, (0, 0, 2)), "n=2.0"),
+    (lambda: LeafFunction(True, (0, 0)), "n=True"),
+    (lambda: LeafFunction("a", (0,)), "n='a'"),
     # from_edges checks both ends before it orders an edge
     *[pytest.param(lambda e=e: Graph.from_edges(30, [e]), named, id=f"from_edges-{e[0]!r}-{e[1]!r}")
       for e, named in [((0.0, 2), "vertex=0.0"), ((0.0, 28), "vertex=0.0"), ((None, 1), "vertex=None"),
@@ -216,3 +219,12 @@ NOT_AN_INT = [
 def test_scalar_that_is_not_an_int_raises(call, named):
     with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an integer$"):
         call()
+
+
+def test_leaf_function_rejects_negative_n_and_non_tuple_values():
+    with pytest.raises(ValueError, match="^n=-1 is negative$"):
+        LeafFunction(-1, ())
+    # a list of values would make the leaf function unhashable
+    for values in ([0, 0, 2], range(3)):
+        with pytest.raises(ValueError, match="^values must be a tuple"):
+            LeafFunction(2, values)
