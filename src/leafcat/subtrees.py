@@ -7,6 +7,9 @@ exclusive-neighborhood extension, never by a vertex that closes a cycle, so
 each induced tree comes once, its leaf count carried from the tree it grew
 from.  It records each size's best leaf count and first set to reach it, for
 leaf functions, witnesses and the tree DP's check, and yields sets of one size.
+For leaf functions and witnesses it cuts each set from which no larger tree
+can beat the best leaf count of its size, which leaves their values and
+witnesses those of the full walk.  The per-size enumeration is never cut.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ if TYPE_CHECKING:  # the verify suites run the tree DP on levels and need no Gra
     from .graph import Graph
 
 
-def _induced_trees(g: Graph, limit: int, best: list, first: list) -> Iterator[tuple[int, int]]:
+def _induced_trees(g: Graph, limit: int, best: list, first: list,
+                   *, cut: bool = False) -> Iterator[tuple[int, int]]:
     """(vertex mask, leaf count) of each set of exactly max(limit, 1) vertices
     that induces a tree, each set once.  Each induced tree of at most that
     size whose leaf count beats best[size], below 0 until a tree of that size
@@ -30,8 +34,15 @@ def _induced_trees(g: Graph, limit: int, best: list, first: list) -> Iterator[tu
     No set is grown by a vertex with two neighbours in it: each set on the way
     to an induced tree is a tree too, and a vertex next to the set may enter
     an extension, to be refused.  Leaf counts carry over in O(1) per step.
+
+    With `cut` (leaf functions and witnesses; the per-size enumeration is never
+    cut), a set of k >= 2 vertices and l leaves is not grown when l <= bar[k],
+    the least best[t] - (t - k) over t in (k, limit]: each added vertex adds at
+    most one leaf, and first[t] moves only on a strict gain, so the tables and
+    witnesses are the full walk's.  An unreached size, at -1, keeps every set
+    below it open; bar[limit] = limit ends the walk at limit.
     """
-    adj = g.adj_masks
+    adj, bar = g.adj_masks, [*range(-1 - limit, -1), limit]
     if g.n:
         best[1], first[1] = 0, 1  # each vertex alone is a tree without leaves
     for v in range(g.n):
@@ -53,11 +64,15 @@ def _induced_trees(g: Graph, limit: int, best: list, first: list) -> Iterator[tu
                 grown = leaves + 1 - (d == 1) + (d == 0)  # w is a leaf; u was one, or now is
                 if grown > best[size]:
                     best[size], first[size] = grown, s | low
-                if size == limit:
-                    yield s | low, grown
-                else:  # descend; the frame left resumes at ext
+                    t, m = size, bar[size]  # raise the bars below size (min() costs a call)
+                    while cut and t > 2 and (
+                            m := (best[t] if best[t] < m else m) - 1) != bar[t - 1]:
+                        bar[t - 1], t = m, t - 1
+                if grown > bar[size]:  # descend; the frame left resumes at ext
                     stack.append((s, size, ext, leaves))
                     s, size, ext, leaves = s | low, size + 1, ext | (adj[w] & above & ~s), grown
+                elif size == limit:
+                    yield s | low, grown
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
@@ -85,13 +100,13 @@ def _scan(g: Graph, limit: int) -> tuple[list[int], list[int]]:
     """Per size up to `limit`, the best leaf count (-1 if none) and the mask
     of the first set in walk order to reach it, which `limit` keeps."""
     best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
-    for _ in _induced_trees(g, limit, best, first):
+    for _ in _induced_trees(g, limit, best, first, cut=True):
         pass
     return best, first
 
 
 def leaf_function_bruteforce(g: Graph, max_n: int = DEFAULT_MAX_N) -> LeafFunction:
-    """Ground-truth leaf function by exhaustive enumeration."""
+    """Ground-truth leaf function, exact: the walk cuts only sets that cannot beat a best."""
     check_range("max_n", max_n, 0, BRUTEFORCE_MAX_N)
     check_range("n", g.n, 0, max_n)
     best, _ = _scan(g, g.n)

@@ -384,6 +384,47 @@ def test_walk_matches_the_recursive_engine_at_the_deepest_stack():
     _assert_walk_is_the_reference(g, [n])
 
 
+def _walk(g: Graph, limit: int, cut: bool = False):
+    """The walk's tables at `limit`, and how many sets it yielded."""
+    best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
+    yielded = sum(1 for _ in subtrees._induced_trees(g, limit, best, first, cut=cut))
+    return (best, first), yielded
+
+
+def _assert_cut_scan_is_the_full_walk(g: Graph, limits) -> None:
+    # the cut scan behind leaf functions and witnesses must end with the best
+    # counts and first best sets of the uncut walk, the one the per-size
+    # enumeration reads
+    for limit in limits:
+        assert subtrees._scan(g, limit) == _walk(g, limit)[0], (sorted(g.edges), limit)
+
+
+def test_cut_scan_is_the_full_walk_on_the_atlas():
+    for g in _atlas_graphs():
+        _assert_cut_scan_is_the_full_walk(g, range(g.n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs_at_density(8, max_n=12), graphs_at_density(2, max_n=12)))
+def test_cut_scan_is_the_full_walk_on_random_graphs(g):
+    _assert_cut_scan_is_the_full_walk(g, range(g.n + 1))
+
+
+def _random_tree(n: int, seed: int) -> Graph:
+    """A seeded random recursive tree: each vertex joins an earlier one."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("g", [wheel(18), fk_tree(3), caterpillar_graph(rc("1" * 15 + "0")),
+                               _random_tree(25, 25)],
+                         ids=["wheel-18", "fk-3", "star-caterpillar", "random-tree-25"])
+def test_cut_scan_is_the_full_walk_on_families(g):
+    _assert_cut_scan_is_the_full_walk(g, [4, 6, 8, g.n])
+    # and the cut fires: at limit 8 fewer sets of 8 vertices are reached
+    assert _walk(g, 8, cut=True)[1] < _walk(g, 8)[1]
+
+
 def test_negative_size_rejected():
     with pytest.raises(ValueError, match="i=-1 outside 0..3"):
         fully_leafed_witness(chain(3), -1)
