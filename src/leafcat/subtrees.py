@@ -162,10 +162,11 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
     closes once its subtree has been walked, merges into its parent's row and
     is dropped, so the live rows are O(n).  A subtree of at most
     _MEMO_MAX_SIZE vertices other than the whole tree is looked up in `memo`
-    by its shape, its slice of `levels` less its own depth, and on a hit is
-    merged without being walked; the memo holds its "under parent" row and the
-    best leaf counts of the sets topped inside it.  The root closes last and
-    has no parent: its counts are the values, returned unchecked.
+    by its shape, its slice of `levels` moved to put its top at depth 1, and
+    on a hit is merged without being walked; the memo holds its "under
+    parent" row and the best leaf counts of the sets topped inside it.  The
+    root closes last and has no parent: its counts are the values, returned
+    unchecked.
 
     A `chain` list, when given, carries the root's merges from call to call:
     at each root child after the first, the levels up to and including it,
@@ -208,7 +209,8 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
             end += 1
         key = None
         if end - v <= _MEMO_MAX_SIZE:  # the subtree is levels[v:end]
-            key = bytes([x - d for x in levels[v:end]])
+            part = levels[v:end]  # keyed as a child of the root, at depth 1
+            key = bytes(part if d == 1 else [x - d + 1 for x in part])
             if key in memo:
                 _merge_up(stack[-1], *memo[key])
                 v = end
@@ -218,14 +220,24 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
 
 
 def _merge_up(parent: list, under: tuple, inside) -> None:
-    """Merge a closed subtree's two rows into its parent's stack entry."""
+    """Merge a closed subtree's two rows into its parent's stack entry.
+
+    Every row keeps _NONE at entry 0 and a leaf count at each size from 1 to
+    its subtree's size, and `under` starts at size 1: so the knapsack reads
+    the parent's row from size 1, tests no entry for an unreached size, and
+    runs its inner loop over the longer of the two."""
     row = parent[1]
     grown = row + [_NONE] * len(under)
-    for s, a in enumerate(row):
-        if a >= 0:
-            for t, b in enumerate(under, s + 1):
-                if a + b > grown[t]:
-                    grown[t] = a + b
+    tops = row[1:]  # from size 1, as `under`
+    outer, inner = (under, tops) if len(under) < len(tops) else (tops, under)
+    start = 2  # the size of a set of one vertex from each
+    for a in outer:
+        t = start
+        for b in inner:
+            if a + b > grown[t]:
+                grown[t] = a + b
+            t += 1
+        start += 1
     parent[1] = grown
     target = parent[3]
     for t, b in enumerate(under, 2):  # the parent and one set under the child: a leaf
@@ -284,15 +296,14 @@ def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | No
     q = p - 1
     while levels[q] != levels[p] - 1:
         q -= 1
-    out = list(levels)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
+    # from p on, the sequence repeats levels[q:p]: from p's parent q up to p
+    fill = len(levels) - p
+    return levels[:p] + (levels[q:p] * (fill // (p - q) + 1))[:fill]
 
 
 def _split_tree(levels: list[int]) -> tuple[list[int], list[int]]:
     """The root's first subtree, and the tree without it, as level sequences."""
-    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+    m = [*levels, 1].index(1, 2)  # the root's second child, or the end
     return [d - 1 for d in levels[1:m]], [0] + levels[m:]
 
 

@@ -240,14 +240,16 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     # the generator's level sequences go straight to the tree DP; every tree
     # of the census shares the DP's memo of rooted subtrees and resumes the
     # root's merges of the tree before it, and each distinct leaf function is
-    # checked, read as a word and decided once
+    # checked, read as a word and decided once; a word with a letter other
+    # than 0 or 1 is no binary word and fails the claim
     memo, chain, verdicts = {}, [], {}
 
     def normal(levels):
         values = _leaf_function_levels(levels, memo, chain)
         if values not in verdicts:
-            w = format_leaf_word(delta_leaf_word(LeafFunction(len(levels), values)))
-            verdicts[values] = w, words.is_prefix_normal(w)
+            lw = delta_leaf_word(LeafFunction(len(levels), values))
+            w = format_leaf_word(lw)
+            verdicts[values] = w, {0, 1}.issuperset(lw) and words.is_prefix_normal(w)
         w, ok = verdicts[values]
         if not ok:
             yield f"n={len(levels)} word={w}"

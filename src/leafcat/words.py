@@ -7,8 +7,8 @@ prefix sums of a word already checked and never check again.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from operator import add, eq, sub
+from itertools import accumulate, product, repeat
+from operator import add, le, sub
 from typing import Iterator
 
 from .bounds import ENUM_MAX_LEN, K_MAX, WORD_MAX_LEN, CatSeq, _trusted, check_range
@@ -52,10 +52,19 @@ def f1_profile(w: str) -> tuple[int, ...]:
 
 
 def is_prefix_normal(w: str) -> bool:
-    """True iff every prefix has at least as many 1s as any equal-length factor:
-    F1 equals the prefix sums at every length."""
+    """True iff every prefix has at least as many 1s as any equal-length factor.
+
+    Only factors that start a run of 1s after a 0 are compared, each with
+    the prefixes of all its lengths at once: a factor with more 1s than its
+    prefix keeps them without its leading 0s, and then with the 1s before it
+    in place of its last letters."""
     pre = prefix_ones(w)
-    return all(map(eq, _f1s(pre), pre))
+    j = w.find("01") + 1
+    while j:
+        if not all(map(le, map(sub, pre[j:], repeat(pre[j])), pre)):
+            return False
+        j = w.find("01", j) + 1
+    return True
 
 
 def pn_violation(w: str):

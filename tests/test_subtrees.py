@@ -202,19 +202,31 @@ def _mask(vs) -> int:
     return sum(1 << v for v in vs)
 
 
-def _assert_leaf_counts_carried(g: Graph):
+def _uncut_walks(g: Graph, limits) -> dict:
+    """Per limit, the uncut walk's (mask, leaf count) pairs in order, and its
+    tables (best, first)."""
+    walks = {}
+    for limit in limits:
+        best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
+        walks[limit] = list(subtrees._induced_trees(g, limit, best, first)), (best, first)
+    return walks
+
+
+def _assert_leaf_counts_carried(g: Graph, walks=None):
     # at every limit the walk yields exactly the induced trees of that size,
     # each once with its own leaf count, and its table holds, at each size up
-    # to the limit, the subsets' best count and a set that has it
+    # to the limit, the subsets' best count and a set that has it; `walks`,
+    # when given, holds the uncut walks of _uncut_walks at every limit
     trees = [{} for _ in range(g.n + 1)]
     for i in range(1, g.n + 1):
         for vs in itertools.combinations(range(g.n), i):
             leaves = _subset_leaves(g, vs)
             if leaves is not None:
                 trees[i][_mask(vs)] = leaves
+    if walks is None:
+        walks = _uncut_walks(g, range(1, g.n + 1))
     for limit in range(1, g.n + 1):
-        best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
-        yielded = list(subtrees._induced_trees(g, limit, best, first))
+        yielded, (best, first) = walks[limit]
         assert sorted(yielded) == sorted(trees[limit].items()), (sorted(g.edges), limit)
         for i in range(1, g.n + 1):
             want = max(trees[i].values(), default=-1) if i <= limit else -1
@@ -335,17 +347,22 @@ def _recursive_induced_trees(g: Graph, limit: int):
         yield from extend(1 << v, (v,), adj[v] & above, (1 << v) | adj[v], 0)
 
 
-def _assert_walk_is_the_reference(g: Graph, limits) -> None:
+def _assert_walk_is_the_reference(g: Graph, limits, made=None) -> None:
     # The walk at each limit must yield exactly the reference's sets of
     # max(limit, 1) vertices, in its order, as masks with their leaf counts,
     # and its table must hold the reference's first strict maximum at each
     # size up to max(limit, 1).  One reference walk at the top limit serves
     # every limit: its sets of at most max(limit, 1) vertices, in its order,
-    # are its walk at that limit.  No walk is held as a whole list.
+    # are its walk at that limit.  No walk is held as a whole list, unless
+    # `made` holds the walks of _uncut_walks already.
     tables, walks = {}, {}  # walks: the size they yield -> [(limit, walk)]
     for limit in limits:
-        tables[limit] = [0] + [-1] * g.n, [0] * (g.n + 1)
-        walk = subtrees._induced_trees(g, limit, *tables[limit])
+        if made is None:
+            tables[limit] = [0] + [-1] * g.n, [0] * (g.n + 1)
+            walk = subtrees._induced_trees(g, limit, *tables[limit])
+        else:
+            sets, tables[limit] = made[limit]
+            walk = iter(sets)
         walks.setdefault(max(limit, 1), []).append((limit, walk))
     best, first = [0] + [-1] * g.n, [0] * (g.n + 1)
     for vs, leaves in _recursive_induced_trees(g, max(limits)):
@@ -362,10 +379,8 @@ def _assert_walk_is_the_reference(g: Graph, limits) -> None:
             sorted(g.edges), limit)
 
 
-def test_walk_matches_the_recursive_engine_on_the_atlas():
-    for g in _atlas_graphs():
-        for limit in range(g.n + 1):  # the reference run at each limit itself
-            _assert_walk_is_the_reference(g, [limit])
+def test_walk_matches_the_recursive_engine_on_the_atlas(atlas_pass):
+    _raise_first(atlas_pass["reference"])
 
 
 @pytest.mark.parametrize("g", [wheel(18), fk_tree(3), caterpillar_graph(rc("1" * 15 + "0"))],
@@ -391,17 +406,17 @@ def _walk(g: Graph, limit: int, cut: bool = False):
     return (best, first), yielded
 
 
-def _assert_cut_scan_is_the_full_walk(g: Graph, limits) -> None:
+def _assert_cut_scan_is_the_full_walk(g: Graph, limits, walks=None) -> None:
     # the cut scan behind leaf functions and witnesses must end with the best
     # counts and first best sets of the uncut walk, the one the per-size
-    # enumeration reads
+    # enumeration reads; `walks`, when given, holds those of _uncut_walks
     for limit in limits:
-        assert subtrees._scan(g, limit) == _walk(g, limit)[0], (sorted(g.edges), limit)
+        full = _walk(g, limit)[0] if walks is None else walks[limit][1]
+        assert subtrees._scan(g, limit) == full, (sorted(g.edges), limit)
 
 
-def test_cut_scan_is_the_full_walk_on_the_atlas():
-    for g in _atlas_graphs():
-        _assert_cut_scan_is_the_full_walk(g, range(g.n + 1))
+def test_cut_scan_is_the_full_walk_on_the_atlas(atlas_pass):
+    _raise_first(atlas_pass["cut"])
 
 
 @settings(max_examples=100, deadline=None)
@@ -564,22 +579,54 @@ def _atlas_graphs():
         yield Graph.from_edges(len(ag), [(int(u), int(v)) for u, v in ag.edges()])
 
 
-def test_atlas_is_an_exhaustive_oracle():
-    # every graph on up to 7 vertices: brute force yields exactly its induced
-    # trees with their own leaf counts, and its leaf functions obey the step laws
-    distinct = [set() for _ in range(8)]
+def _assert_atlas_oracle(g: Graph, walks, distinct) -> None:
+    # brute force yields exactly the graph's induced trees with their own leaf
+    # counts, and its leaf function obeys the step laws
+    _assert_leaf_counts_carried(g, walks)
+    values = leaf_function_bruteforce(g).values
+    distinct[g.n].add(values)
+    for i in range(2, g.n):
+        a, b = values[i], values[i + 1]
+        if a is not NEG_INF and b is not NEG_INF:
+            # up by at most one on every graph (drop a leaf of a best tree);
+            # down by at most one holds only up to 7 vertices
+            assert -1 <= b - a <= 1, (sorted(g.edges), values)
+
+
+@pytest.fixture(scope="module")
+def atlas_pass() -> dict:
+    """One pass over the atlas for the three tests that check all of it: per
+    graph, one uncut walk at each limit serves the subset oracle, the
+    recursive engine and the cut scan.  Maps each check to the errors it
+    raised, graph by graph, and "distinct" to the distinct leaf functions per
+    order."""
+    out = {"oracle": [], "reference": [], "cut": [], "distinct": [set() for _ in range(8)]}
     for g in _atlas_graphs():
-        n = g.n
-        _assert_leaf_counts_carried(g)
-        values = leaf_function_bruteforce(g).values
-        distinct[n].add(values)
-        for i in range(2, n):
-            a, b = values[i], values[i + 1]
-            if a is not NEG_INF and b is not NEG_INF:
-                # up by at most one on every graph (drop a leaf of a best tree);
-                # down by at most one holds only up to 7 vertices
-                assert -1 <= b - a <= 1, (sorted(g.edges), values)
-    assert [len(d) for d in distinct] == [1, 1, 2, 3, 5, 8, 14, 25]
+        walks = _uncut_walks(g, range(g.n + 1))
+        checks = {
+            "oracle": lambda: _assert_atlas_oracle(g, walks, out["distinct"]),
+            # the reference run at each limit itself
+            "reference": lambda: [_assert_walk_is_the_reference(g, [limit], walks)
+                                  for limit in range(g.n + 1)],
+            "cut": lambda: _assert_cut_scan_is_the_full_walk(g, range(g.n + 1), walks),
+        }
+        for name, check in checks.items():
+            try:
+                check()
+            except Exception as exc:  # raised again by the check's own test
+                out[name].append(exc)
+    return out
+
+
+def _raise_first(errors: list) -> None:
+    if errors:
+        raise errors[0]
+
+
+def test_atlas_is_an_exhaustive_oracle(atlas_pass):
+    # every graph on up to 7 vertices
+    _raise_first(atlas_pass["oracle"])
+    assert [len(d) for d in atlas_pass["distinct"]] == [1, 1, 2, 3, 5, 8, 14, 25]
 
 
 def test_witnesses_on_the_atlas():
@@ -660,12 +707,75 @@ def test_census_memo_matches_bruteforce():
         for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
             values = subtrees._leaf_function_levels(levels, memo)
             assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
-    # a key is a subtree's shape: its level sequence read from its own root,
-    # so one entry serves the subtree at every depth
+    # a key is a subtree's shape: its level sequence as a child of the root,
+    # its own root at depth 1, so one entry serves the subtree at every depth
     assert memo
     for key in memo:
-        assert 1 <= len(key) <= subtrees._MEMO_MAX_SIZE and key[0] == 0
-        assert all(1 <= key[i] <= key[i - 1] + 1 for i in range(1, len(key)))
+        assert 1 <= len(key) <= subtrees._MEMO_MAX_SIZE and key[0] == 1
+        assert all(2 <= key[i] <= key[i - 1] + 1 for i in range(1, len(key)))
+
+
+_NONE = subtrees._NONE
+
+
+@st.composite
+def merge_args(draw):
+    """Arguments of one merge: a parent's entry and a closed child's rows.
+    A row holds _NONE at entry 0 and a count at each size from 1; `under`
+    starts at size 1.  The parent's `inside` covers the child's sizes, and
+    the child's `inside` is the parent's own list or a row of its own."""
+    counts = st.integers(0, 12)
+    row = [_NONE] + draw(st.lists(counts, min_size=1, max_size=6))
+    under = tuple(draw(st.lists(counts, min_size=1, max_size=6)))
+    target = draw(st.lists(counts, min_size=len(under) + 2, max_size=len(under) + 8))
+    inside = draw(st.one_of(st.none(), st.lists(counts, min_size=len(under) + 1,
+                                                max_size=len(under) + 1)))
+    return [1, row, None, target], under, inside
+
+
+@settings(max_examples=150, deadline=None)
+@given(merge_args())
+def test_merge_up_is_max_plus_convolution(args):
+    parent, under, inside = args
+    row, target = list(parent[1]), list(parent[3])
+    # the oracle: a set topped by the parent holds s of its sizes and k of the
+    # child's; next, the parent over one set under the child is a leaf
+    def best(t):  # of the sets of t vertices topped by the parent
+        kept = [row[t]] if t < len(row) else []  # no vertex under the child
+        return max(kept + [row[s] + under[t - s - 1]
+                           for s in range(1, min(t, len(row))) if t - s <= len(under)])
+
+    want_row = [_NONE] + [best(t) for t in range(1, len(row) + len(under))]
+    want = list(target)
+    for k, b in enumerate(under, 1):
+        want[k + 1] = max(want[k + 1], b + 1)
+    for s, x in enumerate(inside or ()):
+        want[s] = max(want[s], x)
+    read = None if inside is None else list(inside)
+    subtrees._merge_up(parent, under, parent[3] if inside is None else inside)
+    assert parent[1] == want_row and parent[3] == want
+    assert inside == read  # the child's own row is read, never written
+
+
+def test_merge_up_rows_keep_their_invariant(monkeypatch):
+    # every row the tree DP hands to the merge: entry 0 is _NONE and every
+    # size from 1 to the subtree's size is reached, so no entry after it is
+    # negative; the child's row starts at size 1
+    merge, checked = subtrees._merge_up, [0]
+
+    def checking(parent, under, inside):
+        row = parent[1]
+        assert row[0] == _NONE and min(row[1:]) >= 0 and len(row) >= 2, row
+        assert under and min(under) >= 0, under
+        checked[0] += 1
+        merge(parent, under, inside)
+
+    monkeypatch.setattr(subtrees, "_merge_up", checking)
+    trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
+    trees += [chain(300), star(300)] + [caterpillar_graph(s) for s in all_sequences(9)]
+    for t in trees:
+        leaf_function_tree(t)
+    assert checked[0] > len(trees)
 
 
 def test_census_resume_matches_fresh_memo(monkeypatch):

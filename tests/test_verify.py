@@ -191,6 +191,30 @@ def test_tree_census_sees_a_non_normal_word(monkeypatch):
     assert smallest.notes.endswith(": 0100000000,1101011011")
 
 
+def test_tree_census_records_a_non_binary_word(monkeypatch, capsys):
+    # a leaf word with a letter outside {0, 1} fails the claim like a word
+    # that is not prefix normal: it is reported, and the command exits 1
+    broken = {}
+
+    def leaf_function(levels, memo, chain):
+        n = len(levels)
+        if n in broken:
+            return broken.pop(n)
+        return subtrees._leaf_function_levels(levels, memo, chain)
+
+    monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
+    broken[7] = (0, 0, 2, 2, 2, 4, 2, 2)  # the first tree on 7 vertices reads 0,2,-2,0
+    (small,) = verify.suite_trees(8)
+    assert not broken
+    assert (small.claim, small.instances, small.failures) == (
+        "tree-leaf-words-prefix-normal", 46, ("n=7 word=0,2,-2,0",))
+    broken[7] = (0, 0, 2, 2, 2, 4, 2, 2)
+    code, out = run(capsys, "verify", "--suite", "trees", "--max-n", "8")
+    assert not broken and code == 1
+    assert out.startswith("FAIL tree-leaf-words-prefix-normal bound=8 instances=46 failures=1 ")
+    assert out.splitlines()[1] == "  counterexample: n=7 word=0,2,-2,0"
+
+
 def test_tree_census_decides_each_word_once(monkeypatch, capsys):
     # 2,286 trees on 3 to 13 vertices have 511 distinct leaf words, of n - 3
     # letters each: 292 on at most 12 vertices and 219 on 13
