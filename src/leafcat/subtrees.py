@@ -301,25 +301,21 @@ def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | No
     return levels[:p] + (levels[q:p] * (fill // (p - q) + 1))[:fill]
 
 
-def _split_tree(levels: list[int]) -> tuple[list[int], list[int]]:
-    """The root's first subtree, and the tree without it, as level sequences."""
-    m = [*levels, 1].index(1, 2)  # the root's second child, or the end
-    return [d - 1 for d in levels[1:m]], [0] + levels[m:]
-
-
 def _next_free_tree(levels: list[int]) -> list[int]:
     """`levels` if it is the canonical sequence of a free tree, else the next
-    candidate: the first subtree must be no higher than the rest, and, at
-    equal height, no larger, and at equal size not after it."""
-    left, rest = _split_tree(levels)
-    left_height, rest_height = max(left), max(rest)
-    if rest_height > left_height or (
-            rest_height == left_height and (len(left), left) <= (len(rest), rest)):
+    candidate: the root's first subtree, up to its second child m, must be no
+    higher than the rest, the root with levels[m:], and, at equal height, no
+    larger, and at equal size not after it: only that last test copies lists."""
+    n = len(levels)
+    m = [*levels, 1].index(1, 2)
+    left_height, rest_height = max(levels[1:m]) - 1, max(levels[m:], default=0)
+    if rest_height > left_height or rest_height == left_height and (
+            m - 1 < n - m + 1 or m - 1 == n - m + 1
+            and [d - 1 for d in levels[1:m]] <= [0, *levels[m:]]):
         return levels
-    p = len(left)
+    p = m - 1  # the first subtree's last vertex
     out = _next_rooted_tree(levels, p)
-    if levels[p] > 2:
-        height = max(_split_tree(out)[0])
+    if levels[p] > 2:  # from p on, out repeats levels of 2 or more: the root has one child
+        height = max(out) - 1
         out[-height - 1:] = range(1, height + 2)
     return out
-

@@ -10,7 +10,7 @@ import time
 from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
-from .bounds import SUITE_ALIASES, SUITE_BOUNDS, LeafFunction, Record, check_range
+from .bounds import SUITE_ALIASES, SUITE_BOUNDS, Record, check_range
 from .leafwords import delta_leaf_word, format_leaf_word
 from .subtrees import _free_tree_levels, _leaf_function_levels
 
@@ -50,7 +50,7 @@ def _claim(claim: str, bound: int, cases, law) -> VerifyReport:
     """Check one law on every case, an argument tuple for `law`.
 
     Each case is one instance; the failures are the texts `law(*case)`
-    yields, in case order.
+    returns or yields, in case order.
     """
     start = time.perf_counter()
     instances, failures = 0, []
@@ -239,20 +239,22 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     check_range("max_n", max_n, *SUITE_BOUNDS["trees"])
     # the generator's level sequences go straight to the tree DP; every tree
     # of the census shares the DP's memo of rooted subtrees and resumes the
-    # root's merges of the tree before it, and each distinct leaf function is
-    # checked, read as a word and decided once; a word with a letter other
-    # than 0 or 1 is no binary word and fails the claim
+    # root's merges of the tree before it.  The leaf word is read off the DP's
+    # bare values, never -inf on a tree, and decided once per distinct values:
+    # the verdict, () or the failure's text, serves every tree that has them.
+    # A word with a letter other than 0 or 1 is no binary word and fails
     memo, chain, verdicts = {}, [], {}
 
     def normal(levels):
         values = _leaf_function_levels(levels, memo, chain)
-        if values not in verdicts:
-            lw = delta_leaf_word(LeafFunction(len(levels), values))
-            w = format_leaf_word(lw)
-            verdicts[values] = w, {0, 1}.issuperset(lw) and words.is_prefix_normal(w)
-        w, ok = verdicts[values]
-        if not ok:
-            yield f"n={len(levels)} word={w}"
+        verdict = verdicts.get(values)
+        if verdict is None:
+            lw = [values[i + 4] - values[i + 3] for i in range(len(levels) - 3)]
+            binary = {0, 1}.issuperset(lw)
+            w = "".join(["01"[letter] for letter in lw]) if binary else ",".join(map(str, lw))
+            ok = binary and words.is_prefix_normal(w)
+            verdict = verdicts[values] = () if ok else (f"n={len(levels)} word={w}",)
+        return verdict
 
     trees = (lv for n in range(3, min(max_n, 12) + 1) for lv in _free_tree_levels(n))
     reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), zip(trees), normal)]

@@ -537,6 +537,38 @@ def test_free_tree_bounds():
         list(enumerate_free_trees(15))
 
 
+def _reference_free_trees(n):
+    """The free-tree generator with its canonicity test written on copies:
+    the root's first subtree and the rest of the tree as level sequences of
+    their own, compared by height, then by (size, sequence)."""
+    def split(levels):
+        m = [*levels, 1].index(1, 2)
+        return [d - 1 for d in levels[1:m]], [0] + levels[m:]
+
+    if n == 1:
+        yield [0]
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        left, rest = split(levels)
+        if not (max(rest) > max(left) or (
+                max(rest) == max(left) and (len(left), left) <= (len(rest), rest))):
+            p = len(left)
+            old, levels = levels, subtrees._next_rooted_tree(levels, p)
+            if old[p] > 2:
+                height = max(split(levels)[0])
+                levels[-height - 1:] = range(1, height + 2)
+        yield levels
+        levels = subtrees._next_rooted_tree(levels)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_free_tree_levels_match_the_reference(n):
+    got = list(subtrees._free_tree_levels(n))
+    assert got == list(_reference_free_trees(n))
+    assert len(got) == FREE_TREE_COUNTS[n]
+
+
 def test_monotone_iff_tree():
     # trees have non-decreasing values; connected non-trees do not
     # (atlas holds every graph on up to 7 vertices)

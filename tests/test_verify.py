@@ -9,6 +9,7 @@ import pytest
 from leafcat import subtrees, verify, words
 from leafcat.bounds import SUITE_BOUNDS
 from leafcat.cli import main
+from leafcat.leafwords import delta_leaf_word, format_leaf_word
 from leafcat.subtrees import LeafFunction
 
 
@@ -232,20 +233,58 @@ def test_tree_census_decides_each_word_once(monkeypatch, capsys):
     assert (sum(decided[n] for n in range(13)), decided[13]) == (292, 219)
 
 
-def test_tree_census_builds_each_leaf_function_once(monkeypatch, capsys):
-    # the DP returns bare values; only the 511 distinct leaf functions of the
-    # 2,286 trees on 3 to 13 vertices are checked and read as words
-    built = Counter()
+def test_tree_census_builds_no_leaf_function(monkeypatch, capsys):
+    # the DP returns bare values, and the census reads each distinct one's
+    # leaf word off them: no LeafFunction is built or checked
+    built = []
     init = LeafFunction.__init__
 
     def counted(self, n, values):
-        built[values] += 1
+        built.append(values)
         init(self, n, values)
 
     monkeypatch.setattr(LeafFunction, "__init__", counted)
     code, out = run(capsys, "verify", "--suite", "trees", "--max-n", "13")
     assert code == 0 and "instances=985 " in out and "instances=1301 " in out
-    assert (sum(built.values()), len(built)) == (511, 511)
+    assert built == []
+
+
+def test_tree_census_words_match_the_leaf_word_oracle(monkeypatch):
+    # every tree on 3 to 14 vertices goes through the census's law, each word
+    # failing as if not prefix normal, so the census writes out the word of
+    # each of the 5,445 trees; each must be the word that LeafFunction,
+    # delta_leaf_word and format_leaf_word read from the DP's values
+    trees = [lv for n in range(3, 15) for lv in subtrees._free_tree_levels(n)]
+
+    def levels(n):
+        yield from (trees if n == 12 else ())
+
+    monkeypatch.setattr(verify, "_free_tree_levels", levels)
+    monkeypatch.setattr(words, "is_prefix_normal", lambda w: False)
+    (report,) = verify.suite_trees(12)
+    memo, want, distinct = {}, [], set()
+    for lv in trees:
+        values = subtrees._leaf_function_levels(lv, memo)
+        distinct.add(values)
+        lw = delta_leaf_word(LeafFunction(len(lv), values))
+        want.append(f"n={len(lv)} word={format_leaf_word(lw)}")
+    assert (report.instances, len(distinct)) == (5445, 907)
+    assert report.failures == tuple(want)
+    # words with letters other than 0 and 1, with a 2 or of two digits, read
+    # from the first tree on 7 vertices
+    monkeypatch.undo()
+    for values, text in (((0, 0, 2, 2, 4, 5, 5, 5), "2,1,0,0"),
+                         ((0, 0, 2, 2, 12, 2, 3, 3), "10,-10,1,0")):
+        broken = {7: values}
+
+        def leaf_function(levels, memo, chain):
+            return (broken.pop(len(levels), None)
+                    or subtrees._leaf_function_levels(levels, memo, chain))
+
+        monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
+        (report,) = verify.suite_trees(7)
+        assert not broken and format_leaf_word(delta_leaf_word(LeafFunction(7, values))) == text
+        assert report.failures == (f"n=7 word={text}",)
 
 
 def test_tree_census_builds_no_graph(monkeypatch):
