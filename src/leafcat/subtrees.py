@@ -157,16 +157,16 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
     row over v's children records, per size of S, the most leaves of S other
     than v.  Under its parent, v is a leaf of S iff S = {v}: the row with 1
     for {v} is v's "under parent" row.  As the top, v is a leaf iff S holds
-    just one child c of v: S is {v} plus a set under c, counted as c merges;
-    the row counts it one short, so the larger count is exact.  A vertex
-    closes once its subtree has been walked, merges into its parent's row and
-    is dropped, so the live rows are O(n).  A subtree of at most
-    _MEMO_MAX_SIZE vertices other than the whole tree is looked up in `memo`
-    by its shape, its slice of `levels` moved to put its top at depth 1, and
-    on a hit is merged without being walked; the memo holds its "under
-    parent" row and the best leaf counts of the sets topped inside it.  The
-    root closes last and has no parent: its counts are the values, returned
-    unchecked.
+    just one child c of v, which the row counts one short: c hands v a gift
+    row, per size from 2 the most leaves of {v} plus a set under c, and of
+    the sets topped inside c's subtree if it is memoised.  A vertex closes
+    once its subtree has been walked, merges into its parent and is dropped,
+    so the live rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices
+    other than the whole tree is looked up in `memo` by its shape, its slice
+    of `levels` moved to put its top at depth 1, and on a hit its two rows
+    are merged without a walk.  The root closes last and has no parent: its
+    counts are the values, returned unchecked.  A memo hit that ends the
+    tree writes its merge straight into them.
 
     A `chain` list, when given, carries the root's merges from call to call:
     at each root child after the first, the levels up to and including it,
@@ -177,7 +177,7 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
     best = [0] * (n + 1)
     # the open vertices [depth, knapsack row, memo key, inside], the root
     # first; inside gathers the best leaf counts of the sets topped in the
-    # subtree: its own row when the subtree is memoised, else `best`
+    # subtree: a row of its own when the subtree is memoised, else `best`
     stack = [[0, _ALONE, None, best]]
     v = 1
     while True:
@@ -190,9 +190,11 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
             if not stack:  # the root
                 return tuple(best)
             under = (1, *row[2:])  # per size from 1, the most leaves counting v
-            if key is not None:
-                memo[key] = under, tuple(inside)
-            _merge_up(stack[-1], under, inside)
+            gift = [b + 1 for b in under]  # from size 2: the parent over one set under v
+            if key is not None:  # and the sets topped inside the subtree
+                gift = [*map(max, inside[2:], gift)]
+                memo[key] = under, gift
+            _merge_up(stack[-1], under, gift)
         if d == 1 and chain is not None:  # the root has merged its children before v
             root = stack[-1]
             if v > 1:  # a set of the root and one child may have v vertices
@@ -211,23 +213,27 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
         if end - v <= _MEMO_MAX_SIZE:  # the subtree is levels[v:end]
             part = levels[v:end]  # keyed as a child of the root, at depth 1
             key = bytes(part if d == 1 else [x - d + 1 for x in part])
-            if key in memo:
-                _merge_up(stack[-1], *memo[key])
+            if key in memo:  # the root's last child writes the values, and the root closes
+                _merge_up(stack[-1], *memo[key], best if d == 1 and end == n else None)
                 v = end
                 continue
-        stack.append([d, _ALONE, key, best if key is None else [0] * (end - v + 1)])
+        stack.append([d, _ALONE, key, best if key is None else [0] * (end - v + 2)])
         v += 1
 
 
-def _merge_up(parent: list, under: tuple, inside) -> None:
-    """Merge a closed subtree's two rows into its parent's stack entry.
+def _merge_up(parent: list, under: tuple, gift: list, grown: list | None = None) -> None:
+    """Merge a closed subtree's rows into its parent's stack entry: `under`
+    into the parent's knapsack row, and `gift` into its inside.  Given
+    `grown`, the knapsack writes there and leaves the parent's row as it was:
+    the root's last merge writes the values, which its close completes.
 
     Every row keeps _NONE at entry 0 and a leaf count at each size from 1 to
     its subtree's size, and `under` starts at size 1: so the knapsack reads
     the parent's row from size 1, tests no entry for an unreached size, and
     runs its inner loop over the longer of the two."""
     row = parent[1]
-    grown = row + [_NONE] * len(under)
+    if grown is None:
+        grown = parent[1] = row + [_NONE] * len(under)
     tops = row[1:]  # from size 1, as `under`
     outer, inner = (under, tops) if len(under) < len(tops) else (tops, under)
     start = 2  # the size of a set of one vertex from each
@@ -238,15 +244,10 @@ def _merge_up(parent: list, under: tuple, inside) -> None:
                 grown[t] = a + b
             t += 1
         start += 1
-    parent[1] = grown
     target = parent[3]
-    for t, b in enumerate(under, 2):  # the parent and one set under the child: a leaf
-        if b >= target[t]:
-            target[t] = b + 1
-    if inside is not target:
-        for s, x in enumerate(inside):
-            if x > target[s]:
-                target[s] = x
+    for t, x in enumerate(gift, 2):
+        if x > target[t]:
+            target[t] = x
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,10 @@ def _next_free_tree(levels: list[int]) -> list[int]:
     higher than the rest, the root with levels[m:], and, at equal height, no
     larger, and at equal size not after it: only that last test copies lists."""
     n = len(levels)
-    m = [*levels, 1].index(1, 2)
+    try:
+        m = levels.index(1, 2)
+    except ValueError:  # the root has one child
+        m = n
     left_height, rest_height = max(levels[1:m]) - 1, max(levels[m:], default=0)
     if rest_height > left_height or rest_height == left_height and (
             m - 1 < n - m + 1 or m - 1 == n - m + 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from leafcat import subtrees
+from leafcat import subtrees, verify
 from leafcat.catseq import all_sequences, leaf_function_caterpillar
 from leafcat.graph import (
     GRAPH_MAX_N,
@@ -627,12 +627,13 @@ def _assert_atlas_oracle(g: Graph, walks, distinct) -> None:
 
 @pytest.fixture(scope="module")
 def atlas_pass() -> dict:
-    """One pass over the atlas for the three tests that check all of it: per
+    """One pass over the atlas for the four tests that check all of it: per
     graph, one uncut walk at each limit serves the subset oracle, the
-    recursive engine and the cut scan.  Maps each check to the errors it
-    raised, graph by graph, and "distinct" to the distinct leaf functions per
-    order."""
-    out = {"oracle": [], "reference": [], "cut": [], "distinct": [set() for _ in range(8)]}
+    recursive engine and the cut scan, and the witnesses are checked too.
+    Maps each check to the errors it raised, graph by graph, and "distinct"
+    to the distinct leaf functions per order."""
+    out = {"oracle": [], "reference": [], "cut": [], "witness": [],
+           "distinct": [set() for _ in range(8)]}
     for g in _atlas_graphs():
         walks = _uncut_walks(g, range(g.n + 1))
         checks = {
@@ -641,6 +642,7 @@ def atlas_pass() -> dict:
             "reference": lambda: [_assert_walk_is_the_reference(g, [limit], walks)
                                   for limit in range(g.n + 1)],
             "cut": lambda: _assert_cut_scan_is_the_full_walk(g, range(g.n + 1), walks),
+            "witness": lambda: _assert_atlas_witnesses(g),
         }
         for name, check in checks.items():
             try:
@@ -661,19 +663,22 @@ def test_atlas_is_an_exhaustive_oracle(atlas_pass):
     assert [len(d) for d in atlas_pass["distinct"]] == [1, 1, 2, 3, 5, 8, 14, 25]
 
 
-def test_witnesses_on_the_atlas():
+def _assert_atlas_witnesses(g: Graph) -> None:
     # None exactly at -inf, else an i-set with L(i) leaves: the first best
     # set of a full scan, the one fully_leafed_witness's shorter scan keeps
-    for g in _atlas_graphs():
-        values = leaf_function_bruteforce(g).values
-        first = subtrees._scan(g, g.n)[1]
-        for i in range(g.n + 1):
-            witness = fully_leafed_witness(g, i)
-            assert (witness is None) == (values[i] is NEG_INF), (sorted(g.edges), i)
-            if witness is not None:
-                assert len(set(witness)) == len(witness) == i, (sorted(g.edges), i)
-                assert _subset_leaves(g, witness) == values[i], (sorted(g.edges), i)
-                assert _mask(witness) == first[i], (sorted(g.edges), i)
+    values = leaf_function_bruteforce(g).values
+    first = subtrees._scan(g, g.n)[1]
+    for i in range(g.n + 1):
+        witness = fully_leafed_witness(g, i)
+        assert (witness is None) == (values[i] is NEG_INF), (sorted(g.edges), i)
+        if witness is not None:
+            assert len(set(witness)) == len(witness) == i, (sorted(g.edges), i)
+            assert _subset_leaves(g, witness) == values[i], (sorted(g.edges), i)
+            assert _mask(witness) == first[i], (sorted(g.edges), i)
+
+
+def test_witnesses_on_the_atlas(atlas_pass):
+    _raise_first(atlas_pass["witness"])
 
 
 def test_cone_over_path_drops_by_two():
@@ -752,41 +757,49 @@ _NONE = subtrees._NONE
 
 @st.composite
 def merge_args(draw):
-    """Arguments of one merge: a parent's entry and a closed child's rows.
-    A row holds _NONE at entry 0 and a count at each size from 1; `under`
-    starts at size 1.  The parent's `inside` covers the child's sizes, and
-    the child's `inside` is the parent's own list or a row of its own."""
+    """Arguments of one merge: a parent's entry and a closed child's rows,
+    and whether the merge is the root's last.  A row holds _NONE at entry 0
+    and a count at each size from 1; `under` starts at size 1.  The parent's
+    `inside` covers every size of the merged row.  A memoised child brings
+    the best counts inside it, per size from 2; a walked child brings none."""
     counts = st.integers(0, 12)
     row = [_NONE] + draw(st.lists(counts, min_size=1, max_size=6))
     under = tuple(draw(st.lists(counts, min_size=1, max_size=6)))
-    target = draw(st.lists(counts, min_size=len(under) + 2, max_size=len(under) + 8))
-    inside = draw(st.one_of(st.none(), st.lists(counts, min_size=len(under) + 1,
-                                                max_size=len(under) + 1)))
-    return [1, row, None, target], under, inside
+    size = len(row) + len(under)
+    target = draw(st.lists(counts, min_size=size, max_size=size + 6))
+    inside = draw(st.one_of(st.none(), st.lists(counts, min_size=len(under),
+                                                max_size=len(under))))
+    return [1, row, None, target], under, inside, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(merge_args())
 def test_merge_up_is_max_plus_convolution(args):
-    parent, under, inside = args
+    parent, under, inside, last = args
     row, target = list(parent[1]), list(parent[3])
     # the oracle: a set topped by the parent holds s of its sizes and k of the
     # child's; next, the parent over one set under the child is a leaf
-    def best(t):  # of the sets of t vertices topped by the parent
-        kept = [row[t]] if t < len(row) else []  # no vertex under the child
+    def best(t, keep_row=True):  # of the sets of t vertices topped by the parent
+        kept = [row[t]] if keep_row and t < len(row) else []  # no vertex under the child
         return max(kept + [row[s] + under[t - s - 1]
                            for s in range(1, min(t, len(row))) if t - s <= len(under)])
 
     want_row = [_NONE] + [best(t) for t in range(1, len(row) + len(under))]
+    # the gift, per size t from 2: the parent and a set of t - 1 under the
+    # child, the parent a leaf, or a best set inside a memoised child
+    gift = [under[t - 2] + 1 for t in range(2, len(under) + 2)]
+    if inside is not None:
+        gift = [max(a, b) for a, b in zip(gift, inside)]
     want = list(target)
-    for k, b in enumerate(under, 1):
-        want[k + 1] = max(want[k + 1], b + 1)
-    for s, x in enumerate(inside or ()):
-        want[s] = max(want[s], x)
-    read = None if inside is None else list(inside)
-    subtrees._merge_up(parent, under, parent[3] if inside is None else inside)
-    assert parent[1] == want_row and parent[3] == want
-    assert inside == read  # the child's own row is read, never written
+    for t, x in enumerate(gift, 2):
+        want[t] = max(want[t], x)
+    if last:  # the root's values gain its sets through the child; its close adds the rest
+        for t in range(2, len(want_row)):
+            want[t] = max(want[t], best(t, keep_row=False))
+    read = list(gift)
+    subtrees._merge_up(parent, under, gift, parent[3] if last else None)
+    assert parent[1] == (row if last else want_row) and parent[3] == want
+    assert gift == read  # the gift, kept in the memo, is read, never written
 
 
 def test_merge_up_rows_keep_their_invariant(monkeypatch):
@@ -795,12 +808,12 @@ def test_merge_up_rows_keep_their_invariant(monkeypatch):
     # negative; the child's row starts at size 1
     merge, checked = subtrees._merge_up, [0]
 
-    def checking(parent, under, inside):
+    def checking(parent, under, gift, grown=None):
         row = parent[1]
         assert row[0] == _NONE and min(row[1:]) >= 0 and len(row) >= 2, row
         assert under and min(under) >= 0, under
         checked[0] += 1
-        merge(parent, under, inside)
+        merge(parent, under, gift, grown)
 
     monkeypatch.setattr(subtrees, "_merge_up", checking)
     trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
@@ -848,6 +861,56 @@ def test_census_repeat_matches_bruteforce():
             for _ in range(2):
                 assert subtrees._leaf_function_levels(levels, memo, chain) == want, sorted(t.edges)
     assert subtrees._MEMO_MAX_SIZE == 8 and max(map(len, memo)) < 8
+
+
+def _levels_graph(levels) -> Graph:
+    """The tree of a preorder level sequence, numbered in preorder."""
+    last, edges = {}, []
+    for v, d in enumerate(levels):
+        if v:
+            edges.append((last[d - 1], v))
+        last[d] = v
+    return Graph.from_edges(len(levels), edges)
+
+
+def test_memo_rows_are_the_naive_counts():
+    # each memoised shape, from one memo shared over the trees below, against
+    # a scan of every vertex subset of the shape under a parent p.  `under` at
+    # size k: the best set of k + 1 holding p, less p, a leaf.  The gift at
+    # size t: the best t-set inside the shape or, the one-child row, holding p
+    memo = {}
+    trees = [levels for n in range(1, 13) for levels in subtrees._free_tree_levels(n)]
+    trees += [_preorder_levels(t) for t in [star(300)] + [caterpillar_graph(s)
+                                                          for s in all_sequences(9)]]
+    for levels in trees:
+        subtrees._leaf_function_levels(levels, memo)
+    assert len(memo) > 100
+    for key, (under, gift) in memo.items():
+        g, size = _levels_graph([0, *key]), len(key)  # p is vertex 0
+        inside, one_child = [-1] * (size + 2), [-1] * (size + 2)
+        for vs in itertools.chain.from_iterable(
+                itertools.combinations(range(size + 1), i) for i in range(2, size + 2)):
+            leaves = _subset_leaves(g, vs)
+            if leaves is not None:
+                row = one_child if vs[0] == 0 else inside
+                row[len(vs)] = max(row[len(vs)], leaves)
+        assert under == tuple(x - 1 for x in one_child[2:]), key
+        assert gift == [max(a, b) for a, b in zip(inside[2:], one_child[2:])], key
+
+
+def test_census_ends_at_the_root_s_last_merge(monkeypatch):
+    # in all but one of the census's trees the root's last child is a memo
+    # hit, whose merge writes the values and builds no row
+    merge, last = subtrees._merge_up, [0]
+
+    def counted(parent, under, gift, grown=None):
+        last[0] += grown is not None
+        merge(parent, under, gift, grown)
+
+    monkeypatch.setattr(subtrees, "_merge_up", counted)
+    reports = verify.run_suite("trees", 13)
+    assert not any(r.failures for r in reports)
+    assert sum(r.instances for r in reports) == 2286 and last[0] >= 2285
 
 
 # one memo across every example, as the census shares one across its trees
