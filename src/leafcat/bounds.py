@@ -159,3 +159,15 @@ class CatSeq(tuple):
 
 
 _trusted = partial(tuple.__new__, CatSeq)
+
+
+def parse_sequence(text: str) -> CatSeq:
+    try:
+        s = tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad caterpillar sequence: {text!r}") from exc
+    return CatSeq(s)
+
+
+def format_sequence(s: CatSeq) -> str:
+    return ",".join(str(x) for x in s)

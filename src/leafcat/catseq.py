@@ -7,7 +7,8 @@ spine v_1..v_k carrying s_i pendant leaves on v_i.
 A public function checks its sequences once, on entry, and never inside a
 loop over them.  Every sequence this module or `words.rc` returns is a
 `CatSeq`, built from checked input without a second check; `check_sequence`
-returns at once for a `CatSeq`, and checks a plain tuple in full.
+returns at once for a `CatSeq`, and checks a plain tuple in full.  The text
+form, `parse_sequence` and `format_sequence`, is imported from `bounds`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from operator import le
 
 from .bounds import (HASSE_MAX_SIZE, SEQUENCES_MAX_SIZE, WORD_MAX_LEN, CatSeq, LeafFunction,
-                     _trusted, check_range, check_sequence)
+                     _trusted, check_range, check_sequence, format_sequence, parse_sequence)
 from .words import _binary_words, _rc, f1_profile
 
 
@@ -182,20 +183,3 @@ def hasse_dot(max_size: int) -> str:
         lines.append(f'  "{format_sequence(lo)}" -> "{format_sequence(hi)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Text format
-
-
-def parse_sequence(text: str) -> CatSeq:
-    try:
-        s = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad caterpillar sequence: {text!r}") from exc
-    check_sequence(s)
-    return _trusted(s)
-
-
-def format_sequence(s: CatSeq) -> str:
-    return ",".join(str(x) for x in s)

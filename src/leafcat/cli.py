@@ -3,11 +3,11 @@
 Exit codes: 0 on success / true, 1 on false / rejection / failed claims,
 2 on usage or parse errors.
 
-A cold invocation loads only what its command uses: the word commands need
-`words` and `catseq`, and `graph`, `subtrees`, `leafwords`, `verify` and
-`json` are imported by the commands that use them (not `graph` or `subtrees`
-by `equiv`, `realize` or `--caterpillar`).  The help prints the caps of
-`bounds`, which every command loads, `LeafFunction` included.
+A cold invocation builds its command's sub-parser alone, and loads only what
+the command uses: `rc`, `pnf`, `check-pn` and every --help need `bounds` and
+`words`, and `catseq`, `graph`, `subtrees`, `leafwords`, `verify` and `json` are
+imported by the commands that use them (not `graph` or `subtrees` by `equiv`,
+`realize` or `--caterpillar`).  The help prints the caps of `bounds`.
 """
 
 from __future__ import annotations
@@ -15,21 +15,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catseq, words
+from . import words
 from .bounds import (BRUTEFORCE_MAX_N, CHAIN_MAX_N, DEFAULT_MAX_N, FK_MAX_K, GRAPH_MAX_N,
                      HASSE_MAX_SIZE, K_MAX, NEG_INF, STAR_MAX_M, SUITE_ALIASES, SUITE_BOUNDS,
-                     WHEEL_MAX_N, WORD_MAX_LEN, LeafFunction, check_range)
+                     WHEEL_MAX_N, WORD_MAX_LEN, LeafFunction, check_range, format_sequence,
+                     parse_sequence)
 
 # family -> the name of its generator in `graph`, looked up when called
 GENERATORS = {"wheel": "wheel", "star": "star", "chain": "chain", "fk": "fk_tree"}
 FAMILIES = (*GENERATORS, "caterpillar")
+COMMANDS = ("generate", "leaf-function", "leaf-word", "rc", "pnf", "word-of", "check-pn", "equiv",
+            "realize", "poset", "verify")  # in the order of the help's list
 
 
 def _build_family(family: str, param: str):
     from . import graph
 
     if family == "caterpillar":
-        return graph.caterpillar_graph(catseq.parse_sequence(param))
+        return graph.caterpillar_graph(parse_sequence(param))
     return getattr(graph, GENERATORS[family])(_integer("--param", param))
 
 
@@ -40,7 +43,9 @@ def _input_leaf_function(args):
     if args.param is not None and not args.family:
         raise ValueError("--param requires --family")
     if args.caterpillar is not None:
-        return catseq.leaf_function_caterpillar(catseq.parse_sequence(args.caterpillar))
+        from .catseq import leaf_function_caterpillar
+
+        return leaf_function_caterpillar(parse_sequence(args.caterpillar))
     from . import graph
     from .subtrees import leaf_function_bruteforce, leaf_function_tree
 
@@ -83,48 +88,55 @@ def _graph_input_args(p: argparse.ArgumentParser) -> None:
                         f"tree (default {DEFAULT_MAX_N}); a tree takes the tree DP instead")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone, its usage line unchanged."""
     ap = argparse.ArgumentParser(prog="leafcat")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = ap.add_subparsers(dest="command", required=True)
+    names = (command,) if command in COMMANDS else COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=f"{{{','.join(COMMANDS)}}}" if len(names) == 1 else None)
 
-    p = sub.add_parser("generate", help="emit a family graph as an edge list")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--param", required=True, help=PARAM_HELP)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead")
-    p.add_argument("--highlight", help="comma-separated vertices to color blue")
-    _graph_input_args(sub.add_parser("leaf-function", help="leaf function of a graph"))
-    _graph_input_args(sub.add_parser("leaf-word", help="leaf word of a graph"))
+    def add(name: str, **kwargs):
+        return name in names and sub.add_parser(name, **kwargs)
 
-    for name in ("rc", "pnf"):
-        sub.add_parser(name).add_argument("word", help=WORD_HELP)
+    if p := add("generate", help="emit a family graph as an edge list"):
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--param", required=True, help=PARAM_HELP)
+        p.add_argument("--dot", action="store_true", help="emit DOT instead")
+        p.add_argument("--highlight", help="comma-separated vertices to color blue")
+    for p in filter(None, [add("leaf-function", help="leaf function of a graph"),
+                           add("leaf-word", help="leaf word of a graph")]):
+        _graph_input_args(p)
 
-    p = sub.add_parser("word-of", help="binary word of a caterpillar sequence")
-    p.add_argument("sequence", help=f"caterpillar sequence of size 3..{WORD_MAX_LEN + 3}")
+    for p in filter(None, map(add, ("rc", "pnf"))):
+        p.add_argument("word", help=WORD_HELP)
 
-    p = sub.add_parser("check-pn", help="prefix normality (or k-prefix normality)")
-    p.add_argument("word", help=WORD_HELP)
-    p.add_argument("--k", type=int, default=0,
-                   help=f"k-prefix normality for k in 0..{K_MAX} (default 0: prefix normality)")
+    if p := add("word-of", help="binary word of a caterpillar sequence"):
+        p.add_argument("sequence", help=f"caterpillar sequence of size 3..{WORD_MAX_LEN + 3}")
 
-    p = sub.add_parser("equiv", help="same maximal-ones profile?")
-    p.add_argument("word1", help=WORD_HELP)
-    p.add_argument("word2", help=WORD_HELP)
+    if p := add("check-pn", help="prefix normality (or k-prefix normality)"):
+        p.add_argument("word", help=WORD_HELP)
+        p.add_argument("--k", type=int, default=0,
+                       help=f"k-prefix normality for k in 0..{K_MAX} (default 0: prefix normality)")
 
-    p = sub.add_parser("realize", help="caterpillar realizing a leaf-function vector")
-    p.add_argument("values", help="comma-separated values, -inf allowed")
+    if p := add("equiv", help="same maximal-ones profile?"):
+        p.add_argument("word1", help=WORD_HELP)
+        p.add_argument("word2", help=WORD_HELP)
 
-    p = sub.add_parser("poset", help="cover relations of small caterpillar sequences")
-    p.add_argument("--max-size", type=int, default=6,
-                   help=f"largest sequence size, 0..{HASSE_MAX_SIZE} (default 6)")
-    p.add_argument("--dot", action="store_true")
+    if p := add("realize", help="caterpillar realizing a leaf-function vector"):
+        p.add_argument("values", help="comma-separated values, -inf allowed")
 
-    p = sub.add_parser("verify", help="run exhaustive verification suites")
-    p.add_argument("--suite", default="all", choices=("all", *SUITE_BOUNDS, *SUITE_ALIASES),
-                   help="all runs each suite at its default bound, trees at 12; the n=13 claim "
-                        "needs --suite trees --max-n 13")
-    p.add_argument("--max-n", type=int, default=None, help="bound of a single suite: " + ", ".join(
-        f"{name} {low}..{high}" for name, (low, high) in SUITE_BOUNDS.items()))
+    if p := add("poset", help="cover relations of small caterpillar sequences"):
+        p.add_argument("--max-size", type=int, default=6,
+                       help=f"largest sequence size, 0..{HASSE_MAX_SIZE} (default 6)")
+        p.add_argument("--dot", action="store_true")
+
+    if p := add("verify", help="run exhaustive verification suites"):
+        p.add_argument("--suite", default="all", choices=("all", *SUITE_BOUNDS, *SUITE_ALIASES),
+                       help="all runs each suite at its default bound, trees at 12; the n=13 "
+                            "claim needs --suite trees --max-n 13")
+        suites = ", ".join(f"{name} {low}..{high}" for name, (low, high) in SUITE_BOUNDS.items())
+        p.add_argument("--max-n", type=int, default=None, help=f"bound of a single suite: {suites}")
 
     return ap
 
@@ -170,12 +182,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "rc":
-        s = catseq.format_sequence(words.rc(args.word))
+        s = format_sequence(words.rc(args.word))
         _show(args, {"sequence": s}, s)
         return 0
 
     if args.command == "word-of":
-        w = catseq.word_of(catseq.parse_sequence(args.sequence))
+        from .catseq import word_of
+
+        w = word_of(parse_sequence(args.sequence))
         _show(args, {"word": w}, w)
         return 0
 
@@ -222,16 +236,18 @@ def _run(args) -> int:
                          "witness": list(result.witness) if result.witness else None},
                   f"rejected: {result.message()}")
             return 1
-        out = catseq.format_sequence(result)
+        out = format_sequence(result)
         _show(args, {"realizable": True, "sequence": out}, out)
         return 0
 
     if args.command == "poset":
+        from . import catseq
+
         if args.dot:
             dot = catseq.hasse_dot(args.max_size)
             _show(args, {"dot": dot}, dot, end="")
         else:
-            covers = [[catseq.format_sequence(lo), catseq.format_sequence(hi)]
+            covers = [[format_sequence(lo), format_sequence(hi)]
                       for lo, hi in sorted(catseq.hasse_covers(args.max_size))]
             _show(args, covers, "".join(f"{lo} < {hi}\n" for lo, hi in covers), end="")
         return 0
@@ -247,9 +263,9 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:  # the command is the first token but --json; -h or any other before it builds all
+        args = build_parser(next((t for t in argv if t != "--json"), None)).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -9,8 +9,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bounds import (CHAIN_MAX_N, FK_MAX_K, GRAPH_MAX_N, STAR_MAX_M, WHEEL_MAX_N, Record,
-                     check_range)
-from .catseq import size
+                     check_range, check_sequence)
 
 
 class Graph(Record):
@@ -138,7 +137,8 @@ def caterpillar_graph(s: tuple[int, ...]) -> Graph:
 
     Spine vertices come first (0..k-1), then leaves in spine order.
     """
-    check_range("size", size(s), 3, GRAPH_MAX_N)
+    check_sequence(s)
+    check_range("size", len(s) + sum(s), 3, GRAPH_MAX_N)
     k = len(s)
     edges = [(i, i + 1) for i in range(k - 1)]
     nxt = k

@@ -157,16 +157,16 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
     row over v's children records, per size of S, the most leaves of S other
     than v.  Under its parent, v is a leaf of S iff S = {v}: the row with 1
     for {v} is v's "under parent" row.  As the top, v is a leaf iff S holds
-    just one child c of v, which the row counts one short: c hands v a gift
-    row, per size from 2 the most leaves of {v} plus a set under c, and of
-    the sets topped inside c's subtree if it is memoised.  A vertex closes
-    once its subtree has been walked, merges into its parent and is dropped,
-    so the live rows are O(n).  A subtree of at most _MEMO_MAX_SIZE vertices
-    other than the whole tree is looked up in `memo` by its shape, its slice
-    of `levels` moved to put its top at depth 1, and on a hit its two rows
-    are merged without a walk.  The root closes last and has no parent: its
-    counts are the values, returned unchecked.  A memo hit that ends the
-    tree writes its merge straight into them.
+    just one child c of v, which the row counts one short: per size from 2,
+    the most leaves of {v} plus a set under c go to v's inside, into `best`
+    if c is walked, else in a memoised gift row with the sets topped inside
+    c's subtree.  A vertex closes once its subtree has been walked, merges
+    into its parent and is dropped, so the live rows are O(n).  A subtree of
+    at most _MEMO_MAX_SIZE vertices other than the whole tree is looked up
+    in `memo` by its shape, its slice of `levels` moved to put its top at
+    depth 1, and on a hit its two rows are merged without a walk.  The root
+    closes last and has no parent: its counts are the values, returned
+    unchecked.  A memo hit that ends the tree merges straight into them.
 
     A `chain` list, when given, carries the root's merges from call to call:
     at each root child after the first, the levels up to and including it,
@@ -190,11 +190,14 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
             if not stack:  # the root
                 return tuple(best)
             under = (1, *row[2:])  # per size from 1, the most leaves counting v
-            gift = [b + 1 for b in under]  # from size 2: the parent over one set under v
-            if key is not None:  # and the sets topped inside the subtree
-                gift = [*map(max, inside[2:], gift)]
-                memo[key] = under, gift
-            _merge_up(stack[-1], under, gift)
+            if key is None:  # from size 2, the parent over one set under v, into the
+                for t, b in enumerate(under, 2):  # walked parent's inside, `best`
+                    if b >= best[t]:  # b + 1 > best[t]
+                        best[t] = b + 1
+                _merge_up(stack[-1], under, ())
+            else:  # those counts and the sets topped inside the subtree, as a gift row
+                memo[key] = under, [*map(max, inside[2:], [b + 1 for b in under])]
+                _merge_up(stack[-1], *memo[key])
         if d == 1 and chain is not None:  # the root has merged its children before v
             root = stack[-1]
             if v > 1:  # a set of the root and one child may have v vertices

@@ -10,7 +10,7 @@ import pytest
 import leafcat
 from leafcat import bounds, catseq, graph, verify, words
 from leafcat.bounds import BRUTEFORCE_MAX_N, DEFAULT_MAX_N
-from leafcat.cli import main
+from leafcat.cli import COMMANDS, main
 from leafcat.graph import read_edge_list, wheel, write_edge_list
 
 
@@ -340,7 +340,8 @@ def _checkout_env():
 # what a cold `leafcat rc` never loads: the word commands need neither
 # leafwords nor json, and no module of the program needs dataclasses,
 # inspect (which dataclasses imports) or networkx
-NOT_LOADED_BY_RC = ("networkx", "dataclasses", "inspect", "json", "leafcat.leafwords")
+NOT_LOADED_BY_RC = ("networkx", "dataclasses", "inspect", "json", "leafcat.leafwords",
+                    "leafcat.catseq")
 
 
 def test_cold_start_leaves_networkx_unloaded():
@@ -373,26 +374,28 @@ def test_cold_start_leaves_networkx_unloaded():
         "PASS poset-transitivity bound=3 instances=1 failures=0 time=\n")
 
 
-WORD_MODULES = {"cli", "bounds", "words", "catseq"}
+WORD_MODULES = {"cli", "bounds", "words"}
 
 
 # README's cold-start table: commands, and the modules of leafcat they load
 @pytest.mark.parametrize("commands, modules", [
-    ([["rc", "0101"], ["pnf", "0101"], ["word-of", "1,1,2"], ["check-pn", "1010"],
-      ["poset", "--max-size", "3"], ["--help"]], WORD_MODULES),
-    ([["generate", "--help"], ["leaf-function", "--help"], ["verify", "--help"]], WORD_MODULES),
-    ([["equiv", "01", "10"], ["realize", "0,0,2,2"]], WORD_MODULES | {"leafwords"}),
-    ([["leaf-function", "--caterpillar", "3,1,2"]], WORD_MODULES),
-    ([["leaf-word", "--caterpillar", "3,1,2"]], WORD_MODULES | {"leafwords"}),
-    ([["generate", "--family", "chain", "--param", "3"]], WORD_MODULES | {"graph"}),
+    ([["rc", "0101"], ["pnf", "0101"], ["check-pn", "1010"], ["--help"]], WORD_MODULES),
+    ([[command, "--help"] for command in COMMANDS], WORD_MODULES),
+    ([["word-of", "1,1,2"], ["poset", "--max-size", "3"]], WORD_MODULES | {"catseq"}),
+    ([["equiv", "01", "10"], ["realize", "0,0,2,2"]], WORD_MODULES | {"catseq", "leafwords"}),
+    ([["leaf-function", "--caterpillar", "3,1,2"]], WORD_MODULES | {"catseq"}),
+    ([["leaf-word", "--caterpillar", "3,1,2"]], WORD_MODULES | {"catseq", "leafwords"}),
+    ([["generate", "--family", "chain", "--param", "3"],
+      ["generate", "--family", "caterpillar", "--param", "3,1,2"]], WORD_MODULES | {"graph"}),
     ([["leaf-function", "--family", "chain", "--param", "3"]],
      WORD_MODULES | {"graph", "subtrees"}),
     ([["leaf-word", "--family", "chain", "--param", "4"]],
-     WORD_MODULES | {"graph", "subtrees", "leafwords"}),
+     WORD_MODULES | {"graph", "subtrees", "catseq", "leafwords"}),
     ([["verify", "--suite", "poset", "--max-n", "3"]],
-     WORD_MODULES | {"subtrees", "leafwords", "verify"}),
-], ids=["word-commands", "command-help", "equiv-realize", "leaf-function-caterpillar",
-        "leaf-word-caterpillar", "generate", "leaf-function", "leaf-word", "verify"])
+     WORD_MODULES | {"catseq", "subtrees", "leafwords", "verify"}),
+], ids=["word-commands", "command-help", "catseq-commands", "equiv-realize",
+        "leaf-function-caterpillar", "leaf-word-caterpillar", "generate", "leaf-function",
+        "leaf-word", "verify"])
 def test_cold_start_table(commands, modules):
     script = (
         "import contextlib, io, sys\n"

@@ -2,7 +2,8 @@
 
 Whatever the arguments, `main` returns 0, 1 or 2 and lets no exception
 escape; an exit 2 prints nothing on stdout and, on stderr, either one
-`error:` line or an argparse usage message.
+`error:` line or an argparse usage message.  A command builds its own
+sub-parser alone, and prints what the parser of every command would.
 """
 
 import argparse
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafcat.cli import build_parser, main
+from leafcat import cli
+from leafcat.cli import COMMANDS, build_parser, main
 
 SUBPARSERS = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)).choices
@@ -129,3 +131,73 @@ POSITIONALS = [(name, a.dest) for name, parser in SUBPARSERS.items()
 @given(text=st.text(max_size=20))
 def test_cli_contract_on_any_positional(name, dest, text):
     _check(_argv(name, **{dest: text}))
+
+
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """`main(argv)`'s exit code, stdout and stderr, the verify timings masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out = re.sub(r'time=\d+\.\d\ds|"seconds": [0-9.e-]+', "", out.getvalue())
+    return code, out, err.getvalue()
+
+
+# argv that argparse answers with a usage line or a help text; the tokens
+# before the command that are not --json (-h, an unknown option, -1, --js,
+# --json=1) leave the command unread, and a trailing token is unrecognised
+ERRORS = [[], ["nonesuch"], ["nonesuch", "0101"], ["--help"], ["-h", "rc"], ["rc"],
+          ["rc", "0101", "extra"], ["--json", "rc", "0101", "extra"], ["--bogus", "rc", "0101"],
+          ["-1", "rc", "0101"], ["--js", "rc", "0101"], ["--json=1", "rc", "0101"],
+          ["verify", "--suite", "nonesuch"], *([name, "--help"] for name in SUBPARSERS)]
+
+
+def _assert_as_every_sub_parser(argv, monkeypatch) -> None:
+    one = _outcome(argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert _outcome(argv) == one, argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CASES], ids=[" ".join(a) for a, _ in CASES])
+def test_one_sub_parser_prints_as_every_one(argv, monkeypatch):
+    _assert_as_every_sub_parser(argv, monkeypatch)
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", ERRORS, ids=[" ".join(argv) for argv in ERRORS])
+def test_one_sub_parser_prints_usage_and_help_as_every_one(argv, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps its usage lines to this width
+    _assert_as_every_sub_parser(argv, monkeypatch)
+
+
+def test_no_command_or_an_unknown_one_is_named_command():
+    # the usage line lists every command, and the error names the argument itself
+    code, out, err = _outcome([])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'nonesuch'" in _outcome(["nonesuch"])[2]
+
+
+def test_commands_name_the_sub_parsers_in_order():
+    assert tuple(SUBPARSERS) == COMMANDS
+
+
+# argv, and the number of sub-parsers it builds
+BUILT = [(["rc", "0101"], 1), (["--json", "rc", "0101"], 1), (["verify", "--help"], 1),
+         (["rc", "0101", "extra"], 1), ([], len(COMMANDS)), (["--help"], len(COMMANDS)),
+         (["-h", "rc"], len(COMMANDS)), (["-1", "rc", "0101"], len(COMMANDS)),
+         (["--js", "rc", "0101"], len(COMMANDS)), (["nonesuch"], len(COMMANDS))]
+
+
+@pytest.mark.parametrize("argv, built", BUILT, ids=[" ".join(argv) for argv, _ in BUILT])
+def test_a_command_builds_its_sub_parser_alone(argv, built, monkeypatch):
+    sizes = []
+
+    def counting(command=None):
+        parser = build_parser(command)
+        sizes.extend(len(a.choices) for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    _outcome(argv)
+    assert sizes == [built]

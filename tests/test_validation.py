@@ -153,7 +153,7 @@ MALFORMED = [
 # their result instead of raising
 NOT_CHECKING = {
     "words": {"enumerate_pnw"},
-    "catseq": {"all_sequences", "hasse_covers", "hasse_dot", "format_sequence"},
+    "catseq": {"all_sequences", "hasse_covers", "hasse_dot"},
     "leafwords": {"delta_leaf_word", "classify_leaf_word", "realize_caterpillar",
                   "format_leaf_word"},
 }
