@@ -7,7 +7,6 @@ marks differences involving an absent value.
 from __future__ import annotations
 
 from .bounds import NEG_INF, LeafFunction, Record, Sentinel
-from .catseq import leaf_function_caterpillar
 from .words import _rc, pn_violation, prefix_ones, rc
 
 OMEGA = Sentinel.OMEGA
@@ -98,9 +97,9 @@ def realize_caterpillar(lf: LeafFunction):
 
 def leaf_equivalent(w1: str, w2: str) -> bool:
     """True iff the caterpillars read from w1 and w2 have equal leaf functions."""
-    lf1 = leaf_function_caterpillar(rc(w1))
-    lf2 = leaf_function_caterpillar(rc(w2))
-    return lf1 == lf2
+    from .catseq import leaf_function_caterpillar  # only here: leaf words of graphs need no catseq
+
+    return leaf_function_caterpillar(rc(w1)) == leaf_function_caterpillar(rc(w2))
 
 
 # ---------------------------------------------------------------------------

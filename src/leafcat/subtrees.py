@@ -14,6 +14,7 @@ witnesses those of the full walk.  The per-size enumeration is never cut.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterator
 
 from .bounds import (BRUTEFORCE_MAX_N, DEFAULT_MAX_N, FREE_TREE_MAX_N, NEG_INF, LeafFunction,
@@ -148,7 +149,7 @@ def leaf_function_tree(t: Graph) -> LeafFunction:
     return LeafFunction(t.n, _leaf_function_levels(levels, {}))
 
 
-def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = None) -> tuple:
+def _leaf_function_levels(levels: list[int], memo: dict) -> tuple:
     """The values of L_T, in O(n^2), of the tree with preorder level sequence
     `levels`, after Blondin Masse et al., "Fully leafed induced subtrees"
     (arXiv:1709.09808).
@@ -161,18 +162,14 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
     the most leaves of {v} plus a set under c go to v's inside, into `best`
     if c is walked, else in a memoised gift row with the sets topped inside
     c's subtree.  A vertex closes once its subtree has been walked, merges
-    into its parent and is dropped, so the live rows are O(n).  A subtree of
+    into its parent and is dropped, so the live rows are O(n); the sets it
+    tops need no place of their own (see `_rows`).  A subtree of
     at most _MEMO_MAX_SIZE vertices other than the whole tree is looked up
     in `memo` by its shape, its slice of `levels` moved to put its top at
     depth 1, and on a hit its two rows are merged without a walk.  The root
-    closes last and has no parent: its counts are the values, returned
-    unchecked.  A memo hit that ends the tree merges straight into them.
-
-    A `chain` list, when given, carries the root's merges from call to call:
-    at each root child after the first, the levels up to and including it,
-    the root's row and the counts inside the root.  A call resumes at the
-    last child whose prefix it shares, so consecutive trees of the census
-    merge again only the root children that changed."""
+    closes last and has no parent: its sets join its counts, the values,
+    returned unchecked.  A memo hit that ends the tree merges straight into
+    them."""
     n = len(levels)
     best = [0] * (n + 1)
     # the open vertices [depth, knapsack row, memo key, inside], the root
@@ -184,31 +181,20 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
         d = levels[v] if v < n else 0  # at the end, close every vertex
         while stack[-1][0] >= d:
             _, row, key, inside = stack.pop()
-            for s in range(2, len(row)):
-                if row[s] > inside[s]:
-                    inside[s] = row[s]
-            if not stack:  # the root
+            if not stack:  # the root: the sets it tops join the values
+                for s in range(2, len(row)):
+                    if row[s] > best[s]:
+                        best[s] = row[s]
                 return tuple(best)
-            under = (1, *row[2:])  # per size from 1, the most leaves counting v
-            if key is None:  # from size 2, the parent over one set under v, into the
-                for t, b in enumerate(under, 2):  # walked parent's inside, `best`
-                    if b >= best[t]:  # b + 1 > best[t]
-                        best[t] = b + 1
-                _merge_up(stack[-1], under, ())
-            else:  # those counts and the sets topped inside the subtree, as a gift row
-                memo[key] = under, [*map(max, inside[2:], [b + 1 for b in under])]
-                _merge_up(stack[-1], *memo[key])
-        if d == 1 and chain is not None:  # the root has merged its children before v
-            root = stack[-1]
-            if v > 1:  # a set of the root and one child may have v vertices
-                chain.append((levels[:v + 1], root[1], root[3][:v + 1]))
-            else:  # the first child: resume after the longest prefix kept in the chain
-                while chain and levels[:len(chain[-1][0])] != chain[-1][0]:
-                    chain.pop()
-                if chain:
-                    prefix, root[1], inside = chain[-1]
-                    root[3][:len(inside)] = inside
-                    v = len(prefix) - 1
+            if key is not None:  # a memoised subtree hands up its two rows
+                memo[key] = rows = _rows(row, inside)
+                _merge_up(stack[-1], *rows)
+                continue
+            under = (1, *row[2:])  # from size 2, the parent over one set under v, into
+            for t, b in enumerate(under, 2):  # the walked parent's inside, `best`
+                if b >= best[t]:  # b + 1 > best[t]
+                    best[t] = b + 1
+            _merge_up(stack[-1], under, ())
         end, stop = v + 1, min(n, v + _MEMO_MAX_SIZE + 1)
         while end < stop and levels[end] > d:
             end += 1
@@ -224,11 +210,19 @@ def _leaf_function_levels(levels: list[int], memo: dict, chain: list | None = No
         v += 1
 
 
+def _rows(row: list, inside: list) -> tuple[tuple, list]:
+    """The `under` and gift rows a closed vertex v with knapsack `row` hands
+    its parent.  A set v tops is in neither: with a leaf off, under the
+    parent, it has as many vertices and no fewer leaves."""
+    under = (1, *row[2:])  # per size from 1, the most leaves counting v
+    return under, [*map(max, inside[2:], [b + 1 for b in under])]
+
+
 def _merge_up(parent: list, under: tuple, gift: list, grown: list | None = None) -> None:
     """Merge a closed subtree's rows into its parent's stack entry: `under`
     into the parent's knapsack row, and `gift` into its inside.  Given
     `grown`, the knapsack writes there and leaves the parent's row as it was:
-    the root's last merge writes the values, which its close completes.
+    the root's last merge writes the values.
 
     Every row keeps _NONE at entry 0 and a leaf count at each size from 1 to
     its subtree's size, and `under` starts at size 1: so the knapsack reads
@@ -262,7 +256,8 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     A generator: n is checked at the first next(), not at the call."""
     from .graph import Graph
 
-    for levels in _free_tree_levels(n):
+    check_range("n", n, 1, FREE_TREE_MAX_N)
+    for levels, _ in _free_trees(n):
         last = [0] * n  # level -> latest vertex on it, the parent of the next one below
         edges = []
         for v, d in enumerate(levels[1:], 1):
@@ -271,58 +266,73 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         yield Graph(n, frozenset(edges))
 
 
-def _free_tree_levels(n: int) -> Iterator[list[int]]:
-    """The free trees on n vertices as preorder level sequences: the
-    canonical ones of Wright, Richmond, Odlyzko and McKay, "Constant time
-    generation of free trees" (SIAM J. Comput., 1986), rooted at a center, in
-    decreasing order."""
-    check_range("n", n, 1, FREE_TREE_MAX_N)
-    if n == 1:
-        yield [0]
+def _rooted_shapes(n: int) -> list[tuple]:
+    """The rooted trees that can hang from the center of a free tree on n
+    vertices, as (levels with the root at depth 1, size, height, `under`,
+    gift), by size.  A shape is a root and a non-increasing list of smaller
+    shapes.  Each is the shape without its last child, kept open (its row
+    and inside), and one merge of that child.  A shape of size s and height
+    h hangs from a center only if s + h <= n - 2 or 2s <= n, and the shapes
+    inside it are smaller and no higher."""
+    shapes = []
+    # per size, the open shapes: (levels, height, row, inside, last child)
+    opened = [[], [((1,), 0, _ALONE, [0, 0, 0], None)]]
+    size = 1
+    while opened[size]:
+        for levels, height, row, inside, _ in opened[size]:
+            shapes.append((levels, size, height, *_rows(row, inside)))
+        size += 1
+        top = n if 2 * size <= n else n - 2 - size  # the most height at this size
+        made = []
+        for child, k, h, under, gift in shapes:
+            for levels, height, row, inside, last in opened[size - k] if h < top else ():
+                if (last is None or child <= last) and height <= top:
+                    node = [0, row, None, inside + [0] * k]
+                    _merge_up(node, under, gift)
+                    made.append(((*levels, *[d + 1 for d in child]), max(height, h + 1), node[1],
+                                 node[3], child))
+        opened.append(made)
+    return shapes
+
+
+def _free_trees(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each free tree on n vertices as (preorder levels, values of L_T), in
+    the order of Wright, Richmond, Odlyzko and McKay, "Constant time
+    generation of free trees" (SIAM J. Comput., 1986): rooted at a center,
+    by decreasing levels.  A tree is its center and a non-increasing list of
+    shapes, found by a search over such lists, largest first.  The first
+    child is a highest one; the tree is that canonical form iff the second
+    child is as high, or one lower and the first has under n/2 vertices, or
+    exactly n/2 and levels at most those of the rest.  Each search step
+    merges one child into the center's row and inside, carried down the
+    list, and a whole tree's last merge writes the values.  No state outlives
+    a call."""
+    if n <= 2:
+        yield (0, 1)[:n], (0, 0, 2)[:n + 1]
         return
-    # the path, rooted at its center
-    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while levels is not None:
-        levels = _next_free_tree(levels)
-        yield levels
-        levels = _next_rooted_tree(levels)
+    shapes = sorted(_rooted_shapes(n), reverse=True)  # a higher shape sorts above
+    fits = [[i for i, shape in enumerate(shapes) if shape[1] <= room] for room in range(n)]
+    lower = [sum(shape[2] >= h for shape in shapes) for h in range(n)]  # the first lower than h
 
+    def grow(row, inside, levels, first, stop, room, tie):
+        fit = fits[room]  # the next child: of at most `room` vertices, from `first` to `stop`
+        for i in fit[bisect_left(fit, first):bisect_left(fit, stop)]:
+            child, size, _, under, gift = shapes[i]
+            tree = (*levels, *child)
+            if size < room:
+                node = [0, row, None, inside.copy()]
+                _merge_up(node, under, gift)
+                yield from grow(node[1], node[3], tree, i, len(shapes), room - size, tie)
+            elif not tie or tuple(d - 1 for d in tree[1:n // 2 + 1]) <= (0, *tree[n // 2 + 1:]):
+                # the last merge writes the values; the center's sets without the
+                # last child need no close: a leaf swapped for its root does as well
+                values = inside.copy()
+                _merge_up([0, row, None, values], under, gift, values)
+                yield tree, tuple(values)
 
-def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
-    """Beyer-Hedetniemi successor of a rooted tree's level sequence, changing
-    it from position p on (by default, from the last vertex not on level 1)."""
-    if p is None:
-        p = len(levels) - 1
-        while levels[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    # from p on, the sequence repeats levels[q:p]: from p's parent q up to p
-    fill = len(levels) - p
-    return levels[:p] + (levels[q:p] * (fill // (p - q) + 1))[:fill]
-
-
-def _next_free_tree(levels: list[int]) -> list[int]:
-    """`levels` if it is the canonical sequence of a free tree, else the next
-    candidate: the root's first subtree, up to its second child m, must be no
-    higher than the rest, the root with levels[m:], and, at equal height, no
-    larger, and at equal size not after it: only that last test copies lists."""
-    n = len(levels)
-    try:
-        m = levels.index(1, 2)
-    except ValueError:  # the root has one child
-        m = n
-    left_height, rest_height = max(levels[1:m]) - 1, max(levels[m:], default=0)
-    if rest_height > left_height or rest_height == left_height and (
-            m - 1 < n - m + 1 or m - 1 == n - m + 1
-            and [d - 1 for d in levels[1:m]] <= [0, *levels[m:]]):
-        return levels
-    p = m - 1  # the first subtree's last vertex
-    out = _next_rooted_tree(levels, p)
-    if levels[p] > 2:  # from p on, out repeats levels of 2 or more: the root has one child
-        height = max(out) - 1
-        out[-height - 1:] = range(1, height + 2)
-    return out
+    for i, (child, size, height, under, gift) in enumerate(shapes):
+        node = [0, _ALONE, None, [0] * (n + 1)]
+        _merge_up(node, under, gift)
+        yield from grow(node[1], node[3], (0, *child), i, lower[max(height - (2 * size <= n), 0)],
+                        n - 1 - size, 2 * size == n)
+    del grow  # it refers to itself: free it and what it holds now, not at a cyclic collection

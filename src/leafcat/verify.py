@@ -12,7 +12,7 @@ from itertools import chain, combinations, groupby, product
 from . import catseq, words
 from .bounds import SUITE_ALIASES, SUITE_BOUNDS, Record, check_range
 from .leafwords import delta_leaf_word, format_leaf_word
-from .subtrees import _free_tree_levels, _leaf_function_levels
+from .subtrees import _free_trees
 
 
 class VerifyReport(Record):
@@ -237,16 +237,13 @@ SMALLEST_NON_PN_TREE_WORD = "1101011011"
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     check_range("max_n", max_n, *SUITE_BOUNDS["trees"])
-    # the generator's level sequences go straight to the tree DP; every tree
-    # of the census shares the DP's memo of rooted subtrees and resumes the
-    # root's merges of the tree before it.  The leaf word is read off the DP's
-    # bare values, never -inf on a tree, and decided once per distinct values:
-    # the verdict, () or the failure's text, serves every tree that has them.
-    # A word with a letter other than 0 or 1 is no binary word and fails
-    memo, chain, verdicts = {}, [], {}
+    # the free-tree search hands over each tree's levels and bare values, never
+    # -inf on a tree.  Each distinct values' leaf word is decided once: the
+    # verdict, () or the failure's text, serves every tree that has them.  A
+    # word with a letter other than 0 or 1 is no binary word and fails
+    verdicts = {}
 
-    def normal(levels):
-        values = _leaf_function_levels(levels, memo, chain)
+    def normal(levels, values):
         verdict = verdicts.get(values)
         if verdict is None:
             lw = [values[i + 4] - values[i + 3] for i in range(len(levels) - 3)]
@@ -256,10 +253,10 @@ def suite_trees(max_n: int = 12) -> list[VerifyReport]:
             verdict = verdicts[values] = () if ok else (f"n={len(levels)} word={w}",)
         return verdict
 
-    trees = (lv for n in range(3, min(max_n, 12) + 1) for lv in _free_tree_levels(n))
-    reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), zip(trees), normal)]
+    trees = (tree for n in range(3, min(max_n, 12) + 1) for tree in _free_trees(n))
+    reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), trees, normal)]
     if max_n >= 13:
-        scan = _claim("smallest-non-prefix-normal-tree", 13, zip(_free_tree_levels(13)), normal)
+        scan = _claim("smallest-non-prefix-normal-tree", 13, _free_trees(13), normal)
         found = sorted({f.removeprefix("n=13 word=") for f in scan.failures})
         failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
                     else [f"non-prefix-normal words at n=13: {found}"])

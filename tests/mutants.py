@@ -6,9 +6,11 @@ Each mutant is a module of src/leafcat, a text that occurs in it exactly
 once, the text that replaces it, and whether it is a known equivalent.  For
 each mutant (or each one named) the repository is copied to a temporary
 directory, the edit is made there, and Tier-1 runs with -x.  A failing run
-kills the mutant.  One line per mutant gives killed or survived and the
-seconds taken.  The exit status is 1 if a mutant that is no known equivalent
-survives, or if an edit does not match exactly once.
+kills the mutant.  One line per mutant gives the seconds taken and "killed
+by" the id of the test that failed (the last FAILED or ERROR line of the
+run), or survived; a mutant that only the match test fails has survived.
+The exit status is 1 if a mutant that is no known equivalent survives, or
+if an edit does not match exactly once.
 
 Standard library only.  Pytest does not collect this file, and neither
 Tier-1 nor CI runs the mutants, as a full run takes minutes; Tier-1 checks
@@ -27,23 +29,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # without the check that each edit matches the source, which every mutant fails
+MATCH_TEST = "tests/test_mutants_match.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-         "--ignore=tests/test_mutants_match.py"]
+         f"--ignore={MATCH_TEST}"]
 TIMEOUT_S = 900  # a mutant that loops forever is killed by the timeout
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                  ".bench_out", "*.egg-info")
 
 # (name, module, old text, new text, known equivalent)
 MUTANTS = [
-    # the tree DP: closing a vertex
+    # the tree DP: closing the root
     ("dp-close-from-3", "subtrees", "for s in range(2, len(row)):", "for s in range(3, len(row)):",
      True),  # a set of 2 has 2 leaves, which the child's gift brings
-    ("dp-close-ge", "subtrees", "if row[s] > inside[s]:", "if row[s] >= inside[s]:", True),
-    ("dp-under-alone", "subtrees", "under = (1, *row[2:])", "under = (0, *row[2:])", False),
+    ("dp-close-ge", "subtrees", "if row[s] > best[s]:", "if row[s] >= best[s]:", True),
+    ("dp-root-no-close", "subtrees", "best[s] = row[s]", "pass", False),
+    ("dp-under-alone", "subtrees", "under = (1, *row[2:])  # per", "under = (0, *row[2:])  # per",
+     False),
     ("dp-gift-one-short", "subtrees", "[b + 1 for b in under]", "[b for b in under]", False),
     ("dp-gift-shifted", "subtrees", "map(max, inside[2:], [b", "map(max, inside[1:], [b", False),
     ("dp-gift-no-insides", "subtrees", "[*map(max, inside[2:],", "[*map(min, inside[2:],", False),
     # the tree DP: a walked vertex writes its parent's one-child counts into the values
+    ("dp-walked-under-alone", "subtrees", "under = (1, *row[2:])  # from",
+     "under = (0, *row[2:])  # from", False),
     ("dp-walked-strict", "subtrees", "if b >= best[t]:", "if b > best[t]:", False),
     ("dp-walked-one-short", "subtrees", "best[t] = b + 1", "best[t] = b", False),
     ("dp-walked-shifted", "subtrees", "enumerate(under, 2):", "enumerate(under, 3):", False),
@@ -56,9 +63,6 @@ MUTANTS = [
      "best if d == 1 else None", False),
     ("dp-last-never", "subtrees", "best if d == 1 and end == n else None",
      "best if d == 0 and end == n else None", False),  # same values; the path is counted
-    # the tree DP: the root chain
-    ("dp-chain-short-counts", "subtrees", "root[3][:v + 1]))", "root[3][:v]))", False),
-    ("dp-chain-resume-early", "subtrees", "v = len(prefix) - 1", "v = len(prefix) - 2", False),
     # the merge
     ("merge-row-short", "subtrees", "row + [_NONE] * len(under)", "row + [_NONE] * (len(under) - 1)",
      False),
@@ -77,14 +81,22 @@ MUTANTS = [
     ("cli-metavar-never", "cli", "if len(names) == 1 else None", "if len(names) == 0 else None",
      False),
     ("cli-metavar-always", "cli", "if len(names) == 1 else None", "if len(names) else None", False),
-    # the free-tree successor
-    ("free-second-child-from-1", "subtrees", "m = levels.index(1, 2)", "m = levels.index(1, 1)",
+    # the free trees: the shapes and their bound
+    ("shape-bound-tight", "subtrees", "else n - 2 - size", "else n - 3 - size", False),
+    ("shape-bound-loose", "subtrees", "else n - 2 - size", "else n - 1 - size", False),
+    ("shape-half-strict", "subtrees", "top = n if 2 * size <= n", "top = n if 2 * size < n", False),
+    ("shape-order-strict", "subtrees", "child <= last)", "child < last)", False),
+    # the free trees: the center's second child, the equal halves and the last merge
+    ("center-height-always-lower", "subtrees", "lower[max(height - (2 * size <= n), 0)]",
+     "lower[max(height - 1, 0)]", False),
+    ("center-height-never-lower", "subtrees", "lower[max(height - (2 * size <= n), 0)]",
+     "lower[height]", False),
+    ("center-half-strict", "subtrees", "(2 * size <= n), 0)]", "(2 * size < n), 0)]", False),
+    ("center-tie-never", "subtrees", "n - 1 - size, 2 * size == n)", "n - 1 - size, False)", False),
+    ("center-tie-strict", "subtrees", ") <= (0, *tree[n // 2 + 1:])", ") < (0, *tree[n // 2 + 1:])",
      False),
-    ("free-one-child-m", "subtrees", "        m = n\n", "        m = n - 1\n", False),
-    ("free-height-ge", "subtrees", "if rest_height > left_height or",
-     "if rest_height >= left_height or", False),
-    ("free-one-child-test", "subtrees", "if levels[p] > 2:", "if levels[p] >= 2:", False),
-    ("rooted-parent", "subtrees", "q = p - 1\n", "q = p - 2\n", False),
+    ("center-tie-halves", "subtrees", "tree[1:n // 2 + 1]", "tree[1:n // 2]", False),
+    ("center-leaf-no-last", "subtrees", "under, gift, values)", "under, gift)", False),
     # known equivalents in the word kernels
     ("binary-lstrip", "words", 'if w.strip("01"):', 'if w.lstrip("01"):', True),
     ("binary-rstrip", "words", 'if w.strip("01"):', 'if w.rstrip("01"):', True),
@@ -98,7 +110,14 @@ def _source(tree: Path, module: str) -> Path:
     return tree / "src" / "leafcat" / f"{module}.py"
 
 
-def _killed(mutant) -> tuple[bool, float]:
+def _killer(output: str) -> str:
+    """The id of the test that failed a -x run: its last FAILED or ERROR line."""
+    failed = [line for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return failed[-1].split(" ", 1)[1].split(" - ", 1)[0] if failed else "(no FAILED line)"
+
+
+def _killed(mutant) -> tuple[str | None, float]:
+    """The id of the first test the mutant fails, or None if it passes Tier-1."""
     _, module, old, new, _ = mutant
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,13 +127,13 @@ def _killed(mutant) -> tuple[bool, float]:
         path.write_text(path.read_text().replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         try:
-            run = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
-                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            run = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                                  timeout=TIMEOUT_S)
-            killed = run.returncode != 0
+            killer = _killer(run.stdout) if run.returncode else None
         except subprocess.TimeoutExpired:
-            killed = True
-    return killed, time.perf_counter() - start
+            killer = "(timeout)"
+    return killer, time.perf_counter() - start
 
 
 def unmatched(mutants=MUTANTS) -> list[str]:
@@ -137,11 +156,15 @@ def main(names: list[str]) -> int:
         return 1
     unexpected = 0
     for mutant in chosen:
-        killed, seconds = _killed(mutant)
+        killer, seconds = _killed(mutant)
         equivalent = mutant[4]
-        verdict = "killed" if killed else "survived" + (" (equivalent)" if equivalent else "")
+        # the match test fails on every mutant: a mutant that fails it alone survives
+        killed = killer is not None and not killer.startswith(MATCH_TEST)
+        verdict = (f"killed by {killer}" if killed else "survived"
+                   + (f", failing only {killer}" if killer else "")
+                   + (" (equivalent)" if equivalent else ""))
         unexpected += not killed and not equivalent
-        print(f"{mutant[0]:28} {verdict:24} {seconds:6.1f} s", flush=True)
+        print(f"{mutant[0]:28} {seconds:6.1f} s  {verdict}", flush=True)
     print(f"{len(chosen)} mutants, {unexpected} unexpected survivors")
     return 1 if unexpected else 0
 

@@ -390,7 +390,7 @@ WORD_MODULES = {"cli", "bounds", "words"}
     ([["leaf-function", "--family", "chain", "--param", "3"]],
      WORD_MODULES | {"graph", "subtrees"}),
     ([["leaf-word", "--family", "chain", "--param", "4"]],
-     WORD_MODULES | {"graph", "subtrees", "catseq", "leafwords"}),
+     WORD_MODULES | {"graph", "subtrees", "leafwords"}),
     ([["verify", "--suite", "poset", "--max-n", "3"]],
      WORD_MODULES | {"catseq", "subtrees", "leafwords", "verify"}),
 ], ids=["word-commands", "command-help", "catseq-commands", "equiv-realize",

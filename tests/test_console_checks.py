@@ -1,12 +1,12 @@
 """The console checks: commands with their expected exit code and output.
 
 `console_checks.json` lists each command's arguments, its exit code (0 when
-not given) and, when given, its whole stdout, its first line or its line
-count.  An entry with "save" writes its stdout to that file, for a later
-entry to read.  The test below runs every entry in process through
-`cli.main`; run as a script, this file runs the same entries through an
-installed command, each in one temporary directory, and exits 1 on a
-mismatch:
+not given) and, when given, its whole stdout, its first line, its line count
+or a list of texts its stdout contains.  An entry with "save" writes its
+stdout to that file, for a later entry to read.  The test below runs every
+entry in process through `cli.main`; run as a script, this file runs the
+same entries through an installed command, each in one temporary directory,
+and exits 1 on a mismatch:
 
     python tests/test_console_checks.py leafcat
     python tests/test_console_checks.py python -m leafcat
@@ -27,7 +27,8 @@ CHECKS = json.loads(Path(__file__).with_name("console_checks.json").read_text())
 def mismatches(check: dict, code: int, out: str) -> list[str]:
     """What in one command's exit code and stdout differs from its entry."""
     got = {"exit": code, "stdout": out, "first_line": out.split("\n", 1)[0],
-           "line_count": out.count("\n")}
+           "line_count": out.count("\n"),
+           "contains": [text for text in check.get("contains", ()) if text in out]}
     want = {"exit": 0, **check}
     wrong = [f"{field} {got[field]!r}, expected {want[field]!r}"
              for field in got if field in want and got[field] != want[field]]
@@ -66,6 +67,10 @@ def test_mismatches_name_each_difference():
     assert mismatches(check, 1, "1,1,2\n\n")[:2] == [
         "leafcat rc 0101: exit 1, expected 0",
         "leafcat rc 0101: stdout '1,1,2\\n\\n', expected '1,1,2\\n'"]
+    check = {"argv": ["rc", "0101"], "contains": ["1,1", "2\n", "1,2,"]}
+    assert mismatches(check, 0, "1,1,2\n") == [
+        "leafcat rc 0101: contains ['1,1', '2\\n'], expected ['1,1', '2\\n', '1,2,']"]
+    assert mismatches({**check, "contains": ["1,1", "2\n"]}, 0, "1,1,2\n") == []
     assert mismatches({"argv": ["rc", ""], "exit": 2}, 2, "") == []
     assert mismatches({"argv": ["rc", ""], "exit": 2}, 0, "") == [
         "leafcat rc '': exit 0, expected 2"]

@@ -19,3 +19,13 @@ def test_every_mutant_edit_occurs_exactly_once():
     assert harness.unmatched() == []
     names = [m[0] for m in harness.MUTANTS]
     assert len(names) == len(set(names))
+
+
+def test_a_kill_names_the_failing_test():
+    killer = _harness()._killer
+    out = ("F\n=== short test summary info ===\n"
+           "FAILED tests/test_subtrees.py::test_free_tree_counts[13-1301] - assert 1300 == 1301\n"
+           "!!! stopping after 1 failures !!!\n1 failed, 20 passed in 3.1s\n")
+    assert killer(out) == "tests/test_subtrees.py::test_free_tree_counts[13-1301]"
+    assert killer("ERROR tests/test_verify.py - ImportError: x\n") == "tests/test_verify.py"
+    assert killer("1 failed\n") == "(no FAILED line)"

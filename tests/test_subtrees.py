@@ -537,10 +537,28 @@ def test_free_tree_bounds():
         list(enumerate_free_trees(15))
 
 
+def _next_rooted_tree(levels, p=None):
+    """Beyer-Hedetniemi successor of a rooted tree's level sequence, changing
+    it from position p on (by default, from the last vertex not on level 1)."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    # from p on, the sequence repeats levels[q:p]: from p's parent q up to p
+    fill = len(levels) - p
+    return levels[:p] + (levels[q:p] * (fill // (p - q) + 1))[:fill]
+
+
 def _reference_free_trees(n):
-    """The free-tree generator with its canonicity test written on copies:
-    the root's first subtree and the rest of the tree as level sequences of
-    their own, compared by height, then by (size, sequence)."""
+    """The free-tree generator of Wright, Richmond, Odlyzko and McKay, walking
+    Beyer and Hedetniemi's rooted trees, with its canonicity test written on
+    copies: the root's first subtree and the rest of the tree as level
+    sequences of their own, compared by height, then by (size, sequence)."""
     def split(levels):
         m = [*levels, 1].index(1, 2)
         return [d - 1 for d in levels[1:m]], [0] + levels[m:]
@@ -554,19 +572,51 @@ def _reference_free_trees(n):
         if not (max(rest) > max(left) or (
                 max(rest) == max(left) and (len(left), left) <= (len(rest), rest))):
             p = len(left)
-            old, levels = levels, subtrees._next_rooted_tree(levels, p)
+            old, levels = levels, _next_rooted_tree(levels, p)
             if old[p] > 2:
                 height = max(split(levels)[0])
                 levels[-height - 1:] = range(1, height + 2)
         yield levels
-        levels = subtrees._next_rooted_tree(levels)
+        levels = _next_rooted_tree(levels)
 
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_free_tree_levels_match_the_reference(n):
-    got = list(subtrees._free_tree_levels(n))
+    got = [list(levels) for levels, _ in subtrees._free_trees(n)]
     assert got == list(_reference_free_trees(n))
     assert len(got) == FREE_TREE_COUNTS[n]
+
+
+def _rooted_trees(size):
+    """Every rooted tree on `size` vertices as its canonical level sequence,
+    from the path down, by the successor above."""
+    levels = list(range(size))
+    while levels is not None:
+        yield levels
+        levels = _next_rooted_tree(levels)
+
+
+def _height(levels) -> int:
+    return max(levels) - min(levels)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 13, 14])
+def test_shapes_are_the_rooted_trees_within_the_bound(n):
+    # a shape of size s and height h can hang from the center of a free tree
+    # on n vertices iff s + h <= n - 2 or 2s <= n; the search builds those and
+    # no other, each once, and a higher shape sorts above a lower one
+    shapes = subtrees._rooted_shapes(n)
+    want = {tuple(d + 1 for d in levels) for size in range(1, n)
+            for levels in _rooted_trees(size)
+            if size + _height(levels) <= n - 2 or 2 * size <= n}
+    assert sorted(shape[0] for shape in shapes) == sorted(want)
+    assert [(size, height) for levels, size, height, _, _ in shapes] == [
+        (len(levels), _height(levels)) for levels, *_ in shapes]
+    assert [shape[1] for shape in shapes] == sorted(shape[1] for shape in shapes)
+    heights = [shape[2] for shape in sorted(shapes, reverse=True)]
+    assert heights == sorted(heights, reverse=True)
+    if n == 13:
+        assert len(shapes) == 155
 
 
 def test_monotone_iff_tree():
@@ -727,22 +777,22 @@ def test_tree_dp_matches_bruteforce_on_random_trees(t):
 
 
 def test_census_path_matches_tree_dp():
-    # the census runs the DP on the generator's level sequences; the public
-    # entry numbers each generated Graph again by depth-first search
+    # the census reads the search's values; the public entry numbers each
+    # generated Graph again by depth-first search
     for n in range(1, 14):
-        for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
+        for (levels, values), t in zip(subtrees._free_trees(n), enumerate_free_trees(n),
+                                       strict=True):
             assert levels[0] == 0 and all(1 <= levels[v] <= levels[v - 1] + 1 for v in range(1, n))
-            assert subtrees._leaf_function_levels(levels, {}) == leaf_function_tree(t).values, \
-                sorted(t.edges)
+            assert values == leaf_function_tree(t).values, sorted(t.edges)
 
 
 def test_census_memo_matches_bruteforce():
-    # one memo across n = 3..11, shared as the census shares it, so later
-    # trees hit the rooted subtrees of earlier ones
+    # one memo across n = 3..11, shared as leaf_function_tree would share it,
+    # so later trees hit the rooted subtrees of earlier ones
     memo = {}
     for n in range(3, 12):
-        for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
-            values = subtrees._leaf_function_levels(levels, memo)
+        for (levels, _), t in zip(subtrees._free_trees(n), enumerate_free_trees(n), strict=True):
+            values = subtrees._leaf_function_levels(list(levels), memo)
             assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
     # a key is a subtree's shape: its level sequence as a child of the root,
     # its own root at depth 1, so one entry serves the subtree at every depth
@@ -803,15 +853,20 @@ def test_merge_up_is_max_plus_convolution(args):
 
 
 def test_merge_up_rows_keep_their_invariant(monkeypatch):
-    # every row the tree DP hands to the merge: entry 0 is _NONE and every
-    # size from 1 to the subtree's size is reached, so no entry after it is
-    # negative; the child's row starts at size 1
+    # every row the tree DP and the free-tree search hand to the merge:
+    # entry 0 is _NONE and every size from 1 to the subtree's size is
+    # reached, so no entry after it is negative; the child's row starts at
+    # size 1.  A set less a leaf keeps its top, so each size's count is at
+    # most one above the size before: no set a vertex tops beats its parent
+    # over that set less a leaf, which is why only the root closes its row
     merge, checked = subtrees._merge_up, [0]
 
     def checking(parent, under, gift, grown=None):
         row = parent[1]
         assert row[0] == _NONE and min(row[1:]) >= 0 and len(row) >= 2, row
         assert under and min(under) >= 0, under
+        for counts in row[1:], under:
+            assert all(b <= a + 1 for a, b in zip(counts, counts[1:])), counts
         checked[0] += 1
         merge(parent, under, gift, grown)
 
@@ -823,44 +878,37 @@ def test_merge_up_rows_keep_their_invariant(monkeypatch):
     assert checked[0] > len(trees)
 
 
-def test_census_resume_matches_fresh_memo(monkeypatch):
-    # one memo and one chain of root merges, as the census shares them,
-    # against a fresh memo per tree: in generator order, and shuffled so that
-    # consecutive trees share few root children and most calls resume short
-    trees = [levels for n in range(1, 15) for levels in subtrees._free_tree_levels(n)]
-    fresh = [subtrees._leaf_function_levels(levels, {}) for levels in trees]
-    merge, merges = subtrees._merge_up, [0]
+def test_census_search_matches_fresh_memo(monkeypatch):
+    # every tree on 1 to 14 vertices: the search's values against the tree DP
+    # with a fresh memo.  The search merges once per step, and each whole tree
+    # closes once, through the merge that writes the values: at n = 13 and 14
+    # about 2.1 merges per tree, where the DP merges each of the root's
+    # children at least
+    merge, merges, last = subtrees._merge_up, [0], [0]
 
-    def counted(*args):
+    def counted(parent, under, gift, grown=None):
         merges[0] += 1
-        merge(*args)
+        last[0] += grown is not None
+        merge(parent, under, gift, grown)
 
     monkeypatch.setattr(subtrees, "_merge_up", counted)
-    ordered, shuffled = range(len(trees)), random.Random(1).sample(range(len(trees)), len(trees))
-    counts = []
-    for order, chain in ((ordered, []), (shuffled, []), (ordered, None)):
-        memo, merges[0] = {}, 0
-        for i in order:
-            assert subtrees._leaf_function_levels(trees[i], memo, chain) == fresh[i], trees[i]
-        counts.append(merges[0])
-    # resuming skips the merges of the shared root children: over a quarter of
-    # all merges in generator order
-    resumed, resumed_shuffled, unchained = counts
-    assert 4 * resumed < 3 * unchained and resumed_shuffled <= unchained
+    for n in range(1, 15):
+        merges[0] = last[0] = 0
+        trees = list(subtrees._free_trees(n))
+        assert last[0] == (len(trees) if n > 2 else 0) and len(trees) == FREE_TREE_COUNTS[n]
+        if n >= 13:
+            assert merges[0] < 2.2 * len(trees), (n, merges[0])
+        monkeypatch.setattr(subtrees, "_merge_up", merge)
+        for levels, values in trees:
+            assert subtrees._leaf_function_levels(list(levels), {}) == values, levels
+        monkeypatch.setattr(subtrees, "_merge_up", counted)
 
 
-def test_census_repeat_matches_bruteforce():
-    # each tree twice in a row through one memo and one chain: the second call
-    # resumes the whole root chain of the first.  Each tree is small enough to
-    # be a memo key, but the root is never looked up or stored, so no key has
-    # all n = 8 vertices
-    memo, chain = {}, []
-    for n in range(1, 9):
-        for levels, t in zip(subtrees._free_tree_levels(n), enumerate_free_trees(n), strict=True):
-            want = leaf_function_bruteforce(t).values
-            for _ in range(2):
-                assert subtrees._leaf_function_levels(levels, memo, chain) == want, sorted(t.edges)
-    assert subtrees._MEMO_MAX_SIZE == 8 and max(map(len, memo)) < 8
+def test_census_search_matches_bruteforce():
+    # each tree on at most 9 vertices, its values straight from the search
+    for n in range(1, 10):
+        for (_, values), t in zip(subtrees._free_trees(n), enumerate_free_trees(n), strict=True):
+            assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
 
 
 def _levels_graph(levels) -> Graph:
@@ -873,34 +921,48 @@ def _levels_graph(levels) -> Graph:
     return Graph.from_edges(len(levels), edges)
 
 
+def _naive_rows(shape) -> tuple[tuple, list]:
+    """The `under` and gift rows of a shape, its level sequence at depth 1,
+    by a scan of every vertex subset of the shape under a parent p.  `under`
+    at size k: the best set of k + 1 holding p, less p, a leaf.  The gift at
+    size t: the best t-set inside the shape or, the one-child row, holding p."""
+    g, size = _levels_graph([0, *shape]), len(shape)  # p is vertex 0
+    inside, one_child = [-1] * (size + 2), [-1] * (size + 2)
+    for vs in itertools.chain.from_iterable(
+            itertools.combinations(range(size + 1), i) for i in range(2, size + 2)):
+        leaves = _subset_leaves(g, vs)
+        if leaves is not None:
+            row = one_child if vs[0] == 0 else inside
+            row[len(vs)] = max(row[len(vs)], leaves)
+    return (tuple(x - 1 for x in one_child[2:]),
+            [max(a, b) for a, b in zip(inside[2:], one_child[2:])])
+
+
 def test_memo_rows_are_the_naive_counts():
-    # each memoised shape, from one memo shared over the trees below, against
-    # a scan of every vertex subset of the shape under a parent p.  `under` at
-    # size k: the best set of k + 1 holding p, less p, a leaf.  The gift at
-    # size t: the best t-set inside the shape or, the one-child row, holding p
+    # each memoised shape, from one memo shared over the trees below
     memo = {}
-    trees = [levels for n in range(1, 13) for levels in subtrees._free_tree_levels(n)]
+    trees = [list(levels) for n in range(1, 13) for levels, _ in subtrees._free_trees(n)]
     trees += [_preorder_levels(t) for t in [star(300)] + [caterpillar_graph(s)
                                                           for s in all_sequences(9)]]
     for levels in trees:
         subtrees._leaf_function_levels(levels, memo)
     assert len(memo) > 100
-    for key, (under, gift) in memo.items():
-        g, size = _levels_graph([0, *key]), len(key)  # p is vertex 0
-        inside, one_child = [-1] * (size + 2), [-1] * (size + 2)
-        for vs in itertools.chain.from_iterable(
-                itertools.combinations(range(size + 1), i) for i in range(2, size + 2)):
-            leaves = _subset_leaves(g, vs)
-            if leaves is not None:
-                row = one_child if vs[0] == 0 else inside
-                row[len(vs)] = max(row[len(vs)], leaves)
-        assert under == tuple(x - 1 for x in one_child[2:]), key
-        assert gift == [max(a, b) for a, b in zip(inside[2:], one_child[2:])], key
+    for key, rows in memo.items():
+        assert rows == _naive_rows(key), key
+
+
+def test_shape_rows_are_the_naive_counts():
+    # each of the 155 shapes the census builds for its trees on 13 vertices,
+    # made from a smaller open shape by one merge
+    for levels, _, _, under, gift in subtrees._rooted_shapes(13):
+        assert (under, gift) == _naive_rows(levels), levels
 
 
 def test_census_ends_at_the_root_s_last_merge(monkeypatch):
-    # in all but one of the census's trees the root's last child is a memo
-    # hit, whose merge writes the values and builds no row
+    # each of the census's trees ends at the merge of its center's last
+    # child, which writes the values and builds no row.  Through the tree DP,
+    # with one memo over the same trees, the root's last child is a memo hit
+    # in all but one of them, and its merge writes the values too
     merge, last = subtrees._merge_up, [0]
 
     def counted(parent, under, gift, grown=None):
@@ -910,7 +972,12 @@ def test_census_ends_at_the_root_s_last_merge(monkeypatch):
     monkeypatch.setattr(subtrees, "_merge_up", counted)
     reports = verify.run_suite("trees", 13)
     assert not any(r.failures for r in reports)
-    assert sum(r.instances for r in reports) == 2286 and last[0] >= 2285
+    assert sum(r.instances for r in reports) == last[0] == 2286
+    trees = [list(levels) for n in range(3, 14) for levels, _ in subtrees._free_trees(n)]
+    memo, last[0] = {}, 0
+    for levels in trees:
+        subtrees._leaf_function_levels(levels, memo)
+    assert last[0] == 2285
 
 
 # one memo across every example, as the census shares one across its trees

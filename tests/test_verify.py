@@ -27,7 +27,7 @@ def no_enumeration(monkeypatch):
 
     monkeypatch.setattr(verify.catseq, "all_sequences", started)
     monkeypatch.setattr(verify.words, "_binary_words", started)
-    monkeypatch.setattr(verify, "_free_tree_levels", started)
+    monkeypatch.setattr(verify, "_free_trees", started)
     for suite in verify.SUITES:
         monkeypatch.setattr(verify, f"suite_{suite.replace('-', '_')}", started)
 
@@ -172,17 +172,24 @@ def test_cli_failing_suite(pnf_identity, capsys):
     assert json.loads(out)[1]["failures"] == ["01", "001", "010", "011"]
 
 
+def break_census(monkeypatch, broken: dict) -> None:
+    """Make the census read the values broken[n], popped, for its first tree
+    on n vertices: the search is the census's one source of trees."""
+    search = subtrees._free_trees
+
+    def trees(n):
+        found = list(search(n))
+        if n in broken:
+            found[0] = found[0][0], broken.pop(n)
+        return found
+
+    monkeypatch.setattr(verify, "_free_trees", trees)
+
+
 def test_tree_census_sees_a_non_normal_word(monkeypatch):
     # the first tree on 5 and on 13 vertices read 01 and 0100000000
     broken = {5: (0, 0, 2, 2, 2, 3), 13: (0, 0, 2, 2, 2) + (3,) * 9}
-
-    def leaf_function(levels, memo, chain):
-        n = len(levels)
-        if n in broken:
-            return broken.pop(n)
-        return subtrees._leaf_function_levels(levels, memo, chain)
-
-    monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
+    break_census(monkeypatch, broken)
     small, smallest = verify.suite_trees(13)
     assert not broken
     assert (small.claim, small.instances, small.failures) == (
@@ -196,14 +203,7 @@ def test_tree_census_records_a_non_binary_word(monkeypatch, capsys):
     # a leaf word with a letter outside {0, 1} fails the claim like a word
     # that is not prefix normal: it is reported, and the command exits 1
     broken = {}
-
-    def leaf_function(levels, memo, chain):
-        n = len(levels)
-        if n in broken:
-            return broken.pop(n)
-        return subtrees._leaf_function_levels(levels, memo, chain)
-
-    monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
+    break_census(monkeypatch, broken)
     broken[7] = (0, 0, 2, 2, 2, 4, 2, 2)  # the first tree on 7 vertices reads 0,2,-2,0
     (small,) = verify.suite_trees(8)
     assert not broken
@@ -253,18 +253,14 @@ def test_tree_census_words_match_the_leaf_word_oracle(monkeypatch):
     # every tree on 3 to 14 vertices goes through the census's law, each word
     # failing as if not prefix normal, so the census writes out the word of
     # each of the 5,445 trees; each must be the word that LeafFunction,
-    # delta_leaf_word and format_leaf_word read from the DP's values
-    trees = [lv for n in range(3, 15) for lv in subtrees._free_tree_levels(n)]
-
-    def levels(n):
-        yield from (trees if n == 12 else ())
-
-    monkeypatch.setattr(verify, "_free_tree_levels", levels)
+    # delta_leaf_word and format_leaf_word read from the tree DP's values
+    trees = [tree for n in range(3, 15) for tree in subtrees._free_trees(n)]
+    monkeypatch.setattr(verify, "_free_trees", lambda n: trees if n == 12 else [])
     monkeypatch.setattr(words, "is_prefix_normal", lambda w: False)
     (report,) = verify.suite_trees(12)
     memo, want, distinct = {}, [], set()
-    for lv in trees:
-        values = subtrees._leaf_function_levels(lv, memo)
+    for lv, _ in trees:
+        values = subtrees._leaf_function_levels(list(lv), memo)
         distinct.add(values)
         lw = delta_leaf_word(LeafFunction(len(lv), values))
         want.append(f"n={len(lv)} word={format_leaf_word(lw)}")
@@ -276,20 +272,15 @@ def test_tree_census_words_match_the_leaf_word_oracle(monkeypatch):
     for values, text in (((0, 0, 2, 2, 4, 5, 5, 5), "2,1,0,0"),
                          ((0, 0, 2, 2, 12, 2, 3, 3), "10,-10,1,0")):
         broken = {7: values}
-
-        def leaf_function(levels, memo, chain):
-            return (broken.pop(len(levels), None)
-                    or subtrees._leaf_function_levels(levels, memo, chain))
-
-        monkeypatch.setattr(verify, "_leaf_function_levels", leaf_function)
+        break_census(monkeypatch, broken)
         (report,) = verify.suite_trees(7)
         assert not broken and format_leaf_word(delta_leaf_word(LeafFunction(7, values))) == text
         assert report.failures == (f"n=7 word={text}",)
 
 
 def test_tree_census_builds_no_graph(monkeypatch):
-    # the census hands the generator's parent arrays to the DP: no Graph is
-    # built, so none is rooted again by breadth-first search
+    # the census reads each tree's values off the search, which builds trees
+    # from shapes: no Graph is built, so none is rooted again by a walk
     def built(*args, **kwargs):
         raise AssertionError("Graph built")
 
