@@ -257,13 +257,13 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     from .graph import Graph
 
     check_range("n", n, 1, FREE_TREE_MAX_N)
-    for levels, _ in _free_trees(n):
+    for levels, _ in _free_trees(n, n):
         last = [0] * n  # level -> latest vertex on it, the parent of the next one below
         edges = []
         for v, d in enumerate(levels[1:], 1):
             last[d] = v
             edges.append((last[d - 1], v))
-        yield Graph(n, frozenset(edges))
+        yield Graph(n, edges)
 
 
 def _rooted_shapes(n: int) -> list[tuple]:
@@ -295,44 +295,48 @@ def _rooted_shapes(n: int) -> list[tuple]:
     return shapes
 
 
-def _free_trees(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each free tree on n vertices as (preorder levels, values of L_T), in
-    the order of Wright, Richmond, Odlyzko and McKay, "Constant time
-    generation of free trees" (SIAM J. Comput., 1986): rooted at a center,
-    by decreasing levels.  A tree is its center and a non-increasing list of
-    shapes, found by a search over such lists, largest first.  The first
-    child is a highest one; the tree is that canonical form iff the second
-    child is as high, or one lower and the first has under n/2 vertices, or
-    exactly n/2 and levels at most those of the rest.  Each search step
-    merges one child into the center's row and inside, carried down the
-    list, and a whole tree's last merge writes the values.  No state outlives
-    a call."""
-    if n <= 2:
+def _free_trees(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each free tree on lo..hi vertices as (preorder levels, values of L_T),
+    by one search over all the sizes: each size's trees come in the order of
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
+    trees" (SIAM J. Comput., 1986), rooted at a center, by decreasing levels.
+    A node of the search is a center and a non-increasing list of the shapes
+    made for hi, largest first: a tree on n = 1 + their sizes vertices.  The
+    first child is a highest one, the second at most one lower; a node is the
+    canonical form iff n >= lo, and the second child is as high or 2 s1 <= n,
+    and if 2 s1 = n the first child's levels are at most the rest's.  A valid
+    node's last merge into its parent's row writes its values, and a node
+    with room to grow below hi is merged into a row of its own."""
+    for n in range(lo, min(hi, 2) + 1):
         yield (0, 1)[:n], (0, 0, 2)[:n + 1]
-        return
-    shapes = sorted(_rooted_shapes(n), reverse=True)  # a higher shape sorts above
-    fits = [[i for i, shape in enumerate(shapes) if shape[1] <= room] for room in range(n)]
-    lower = [sum(shape[2] >= h for shape in shapes) for h in range(n)]  # the first lower than h
-
-    def grow(row, inside, levels, first, stop, room, tie):
-        fit = fits[room]  # the next child: of at most `room` vertices, from `first` to `stop`
-        for i in fit[bisect_left(fit, first):bisect_left(fit, stop)]:
-            child, size, _, under, gift = shapes[i]
-            tree = (*levels, *child)
-            if size < room:
-                node = [0, row, None, inside.copy()]
-                _merge_up(node, under, gift)
-                yield from grow(node[1], node[3], tree, i, len(shapes), room - size, tie)
-            elif not tie or tuple(d - 1 for d in tree[1:n // 2 + 1]) <= (0, *tree[n // 2 + 1:]):
-                # the last merge writes the values; the center's sets without the
-                # last child need no close: a leaf swapped for its root does as well
-                values = inside.copy()
-                _merge_up([0, row, None, values], under, gift, values)
-                yield tree, tuple(values)
-
-    for i, (child, size, height, under, gift) in enumerate(shapes):
-        node = [0, _ALONE, None, [0] * (n + 1)]
+    shapes = sorted(_rooted_shapes(hi) if hi > 2 else (), reverse=True)  # higher sorts above
+    fits = [[i for i, shape in enumerate(shapes) if shape[1] <= room] for room in range(hi)]
+    lower = [sum(shape[2] >= h for shape in shapes) for h in range(hi)]  # the first lower than h
+    for first, (child, s1, h1, under, gift) in enumerate(shapes):
+        node, fit = [0, _ALONE, None, [0] * (hi + 1)], fits[hi - 1 - s1]
         _merge_up(node, under, gift)
-        yield from grow(node[1], node[3], (0, *child), i, lower[max(height - (2 * size <= n), 0)],
-                        n - 1 - size, 2 * size == n)
-    del grow  # it refers to itself: free it and what it holds now, not at a cyclic collection
+        # open nodes: (the next children, levels, row, inside, size, second child's height);
+        # the second child is as high as the first, or one lower if 2 * s1 <= n can hold
+        end = bisect_left(fit, lower[max(h1 - (2 * s1 <= hi), 0)])
+        stack = [(iter(fit[bisect_left(fit, first):end]), (0, *child), node[1], node[3], 1 + s1,
+                  None)]
+        while stack:
+            children, levels, row, inside, n, h2 = stack[-1]
+            for i in children:
+                child, size, height, under, gift = shapes[i]
+                tree, m, h = (*levels, *child), n + size, height if h2 is None else h2
+                if m >= lo and (h == h1 or 2 * s1 <= m) and (
+                        2 * s1 != m or tuple(d - 1 for d in tree[1:s1 + 1]) <= (0, *tree[s1 + 1:])):
+                    # the last merge writes the values; the center's sets without the
+                    # last child need no close: a leaf swapped for its root does as well
+                    values = inside[:m + 1]
+                    _merge_up([0, row, None, values], under, gift, values)
+                    yield tree, tuple(values)
+                if m < hi:  # descend; the node left resumes at its next child
+                    node = [0, row, None, inside.copy()]
+                    _merge_up(node, under, gift)
+                    fit = fits[hi - m]
+                    stack.append((iter(fit[bisect_left(fit, i):]), tree, node[1], node[3], m, h))
+                    break
+            else:
+                stack.pop()

@@ -7,6 +7,7 @@ a claim passes iff it records none.
 from __future__ import annotations
 
 import time
+from collections import Counter, defaultdict
 from itertools import chain, combinations, groupby, product
 
 from . import catseq, words
@@ -237,31 +238,36 @@ SMALLEST_NON_PN_TREE_WORD = "1101011011"
 
 def suite_trees(max_n: int = 12) -> list[VerifyReport]:
     check_range("max_n", max_n, *SUITE_BOUNDS["trees"])
-    # the free-tree search hands over each tree's levels and bare values, never
-    # -inf on a tree.  Each distinct values' leaf word is decided once: the
-    # verdict, () or the failure's text, serves every tree that has them.  A
-    # word with a letter other than 0 or 1 is no binary word and fails
-    verdicts = {}
-
-    def normal(levels, values):
+    # one search hands over every tree on 3..max_n vertices, the sizes interleaved,
+    # with its levels and bare values, never -inf on a tree.  Each distinct values'
+    # leaf word is decided once: the verdict, () or the failure's text, serves every
+    # tree that has them.  A word with a letter other than 0 or 1 is no binary word
+    # and fails.  Each size's failures keep search order; the reports share the time
+    start = time.perf_counter()
+    verdicts, counts, failed = {}, Counter(), defaultdict(list)
+    for levels, values in _free_trees(3, max_n):
+        n = len(levels)
+        counts[n] += 1
         verdict = verdicts.get(values)
         if verdict is None:
-            lw = [values[i + 4] - values[i + 3] for i in range(len(levels) - 3)]
+            lw = [values[i + 4] - values[i + 3] for i in range(n - 3)]
             binary = {0, 1}.issuperset(lw)
             w = "".join(["01"[letter] for letter in lw]) if binary else ",".join(map(str, lw))
             ok = binary and words.is_prefix_normal(w)
-            verdict = verdicts[values] = () if ok else (f"n={len(levels)} word={w}",)
-        return verdict
-
-    trees = (tree for n in range(3, min(max_n, 12) + 1) for tree in _free_trees(n))
-    reports = [_claim("tree-leaf-words-prefix-normal", min(max_n, 12), trees, normal)]
+            verdict = verdicts[values] = () if ok else (f"n={n} word={w}",)
+        if verdict:
+            failed[n] += verdict
+    spent = time.perf_counter() - start
+    sizes = [n for n in sorted(counts) if n < 13 or max_n < 13]  # 13 has a claim of its own
+    reports = [VerifyReport("tree-leaf-words-prefix-normal", min(max_n, 12),
+                            sum(counts[n] for n in sizes), [f for n in sizes for f in failed[n]],
+                            spent)]
     if max_n >= 13:
-        scan = _claim("smallest-non-prefix-normal-tree", 13, _free_trees(13), normal)
-        found = sorted({f.removeprefix("n=13 word=") for f in scan.failures})
+        found = sorted({f.removeprefix("n=13 word=") for f in failed[13]})
         failures = ([] if found == [SMALLEST_NON_PN_TREE_WORD]
                     else [f"non-prefix-normal words at n=13: {found}"])
-        reports.append(VerifyReport(scan.claim, scan.bound, scan.instances, failures, scan.seconds,
-                                    "counterexample leaf words at n=13: " + ",".join(found)))
+        reports.append(VerifyReport("smallest-non-prefix-normal-tree", 13, counts[13], failures,
+                                    spent, "counterexample leaf words at n=13: " + ",".join(found)))
     return reports
 
 

@@ -86,16 +86,22 @@ MUTANTS = [
     ("shape-bound-loose", "subtrees", "else n - 2 - size", "else n - 1 - size", False),
     ("shape-half-strict", "subtrees", "top = n if 2 * size <= n", "top = n if 2 * size < n", False),
     ("shape-order-strict", "subtrees", "child <= last)", "child < last)", False),
-    # the free trees: the center's second child, the equal halves and the last merge
-    ("center-height-always-lower", "subtrees", "lower[max(height - (2 * size <= n), 0)]",
-     "lower[max(height - 1, 0)]", False),
-    ("center-height-never-lower", "subtrees", "lower[max(height - (2 * size <= n), 0)]",
-     "lower[height]", False),
-    ("center-half-strict", "subtrees", "(2 * size <= n), 0)]", "(2 * size < n), 0)]", False),
-    ("center-tie-never", "subtrees", "n - 1 - size, 2 * size == n)", "n - 1 - size, False)", False),
-    ("center-tie-strict", "subtrees", ") <= (0, *tree[n // 2 + 1:])", ") < (0, *tree[n // 2 + 1:])",
-     False),
-    ("center-tie-halves", "subtrees", "tree[1:n // 2 + 1]", "tree[1:n // 2]", False),
+    # the free trees: the second child's range, cut once for every size up to hi
+    ("second-always-lower", "subtrees", "lower[max(h1 - (2 * s1 <= hi), 0)]",
+     "lower[max(h1 - 1, 0)]", False),  # the same trees; the merges are counted
+    ("second-never-lower", "subtrees", "lower[max(h1 - (2 * s1 <= hi), 0)]", "lower[h1]", False),
+    ("second-half-strict", "subtrees", "(2 * s1 <= hi), 0)]", "(2 * s1 < hi), 0)]", False),
+    # the free trees: the rule at each node, the equal halves and the last merge
+    ("center-height-always", "subtrees", "(h == h1 or", "(True or", False),
+    ("center-height-never", "subtrees", "(h == h1 or", "(False or", False),
+    ("center-half-strict", "subtrees", "or 2 * s1 <= m)", "or 2 * s1 < m)", False),
+    ("center-tie-never", "subtrees", "2 * s1 != m or", "True or", False),
+    ("center-tie-strict", "subtrees", ") <= (0, *tree[s1 + 1:])", ") < (0, *tree[s1 + 1:])", False),
+    ("center-tie-halves", "subtrees", "tree[1:s1 + 1]", "tree[1:s1]", False),
+    ("center-lo-strict", "subtrees", "if m >= lo and", "if m > lo and", False),
+    ("center-lo-never", "subtrees", "if m >= lo and", "if True and", False),
+    ("center-room-loose", "subtrees", "if m < hi:", "if m <= hi:", False),  # merges counted
+    ("center-room-tight", "subtrees", "if m < hi:", "if m < hi - 1:", False),
     ("center-leaf-no-last", "subtrees", "under, gift, values)", "under, gift)", False),
     # known equivalents in the word kernels
     ("binary-lstrip", "words", 'if w.strip("01"):', 'if w.lstrip("01"):', True),

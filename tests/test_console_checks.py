@@ -55,7 +55,7 @@ def test_console_checks_in_process(capsys, monkeypatch, tmp_path):
         return code, capsys.readouterr().out
 
     monkeypatch.chdir(tmp_path)
-    assert len(CHECKS) == 22
+    assert len(CHECKS) == 23
     assert run_checks(run, tmp_path) == []
 
 

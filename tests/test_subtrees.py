@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import itertools
 import pickle
 import random
@@ -582,9 +583,51 @@ def _reference_free_trees(n):
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_free_tree_levels_match_the_reference(n):
-    got = [list(levels) for levels, _ in subtrees._free_trees(n)]
+    got = [list(levels) for levels, _ in subtrees._free_trees(n, n)]
     assert got == list(_reference_free_trees(n))
     assert len(got) == FREE_TREE_COUNTS[n]
+
+
+@functools.cache
+def _reference_trees(n):
+    """The trees on n vertices as the census wants them: the reference's
+    levels, in its order, each with the tree DP's values."""
+    return [(tuple(levels), subtrees._leaf_function_levels(levels, {}))
+            for levels in _reference_free_trees(n)]
+
+
+def _by_size(trees) -> dict:
+    """A search's trees, by size, each size's in search order."""
+    sizes = {}
+    for levels, values in trees:
+        sizes.setdefault(len(levels), []).append((levels, values))
+    return sizes
+
+
+@pytest.mark.parametrize("hi", range(3, 15))
+def test_one_search_gives_each_size_s_trees(hi):
+    # one search over 3..hi vertices meets the sizes interleaved; size by
+    # size, it gives the reference's trees in its order with the tree DP's
+    # values, as the search over n..n alone does
+    trees = list(subtrees._free_trees(3, hi))
+    sizes = _by_size(trees)
+    assert sorted(sizes) == list(range(3, hi + 1))
+    lengths = [len(levels) for levels, _ in trees]
+    assert hi < 5 or lengths != sorted(lengths)
+    for n, found in sizes.items():
+        assert found == _reference_trees(n), n
+    assert list(subtrees._free_trees(hi, hi)) == _reference_trees(hi)
+
+
+def test_the_smallest_trees_come_first():
+    # the trees on 1 and 2 vertices are no center with two children: they
+    # come before the search, as the search over n..n alone gives them
+    assert list(subtrees._free_trees(1, 1)) == [((0,), (0, 0))]
+    assert list(subtrees._free_trees(2, 2)) == [((0, 1), (0, 0, 2))]
+    assert list(subtrees._free_trees(1, 2)) == [((0,), (0, 0)), ((0, 1), (0, 0, 2))]
+    trees = list(subtrees._free_trees(1, 9))
+    assert trees[:2] == list(subtrees._free_trees(1, 2))
+    assert _by_size(trees) == {n: _reference_trees(n) for n in range(1, 10)}
 
 
 def _rooted_trees(size):
@@ -780,7 +823,7 @@ def test_census_path_matches_tree_dp():
     # the census reads the search's values; the public entry numbers each
     # generated Graph again by depth-first search
     for n in range(1, 14):
-        for (levels, values), t in zip(subtrees._free_trees(n), enumerate_free_trees(n),
+        for (levels, values), t in zip(subtrees._free_trees(n, n), enumerate_free_trees(n),
                                        strict=True):
             assert levels[0] == 0 and all(1 <= levels[v] <= levels[v - 1] + 1 for v in range(1, n))
             assert values == leaf_function_tree(t).values, sorted(t.edges)
@@ -791,7 +834,8 @@ def test_census_memo_matches_bruteforce():
     # so later trees hit the rooted subtrees of earlier ones
     memo = {}
     for n in range(3, 12):
-        for (levels, _), t in zip(subtrees._free_trees(n), enumerate_free_trees(n), strict=True):
+        for (levels, _), t in zip(subtrees._free_trees(n, n), enumerate_free_trees(n),
+                                  strict=True):
             values = subtrees._leaf_function_levels(list(levels), memo)
             assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
     # a key is a subtree's shape: its level sequence as a child of the root,
@@ -883,7 +927,8 @@ def test_census_search_matches_fresh_memo(monkeypatch):
     # with a fresh memo.  The search merges once per step, and each whole tree
     # closes once, through the merge that writes the values: at n = 13 and 14
     # about 2.1 merges per tree, where the DP merges each of the root's
-    # children at least
+    # children at least.  A first child over half the vertices is followed
+    # only by one as high, so no node grows toward a tree it cannot be
     merge, merges, last = subtrees._merge_up, [0], [0]
 
     def counted(parent, under, gift, grown=None):
@@ -894,20 +939,40 @@ def test_census_search_matches_fresh_memo(monkeypatch):
     monkeypatch.setattr(subtrees, "_merge_up", counted)
     for n in range(1, 15):
         merges[0] = last[0] = 0
-        trees = list(subtrees._free_trees(n))
+        trees = list(subtrees._free_trees(n, n))
         assert last[0] == (len(trees) if n > 2 else 0) and len(trees) == FREE_TREE_COUNTS[n]
         if n >= 13:
-            assert merges[0] < 2.2 * len(trees), (n, merges[0])
+            assert merges[0] == {13: 2759, 14: 6635}[n] < 2.2 * len(trees), (n, merges[0])
         monkeypatch.setattr(subtrees, "_merge_up", merge)
         for levels, values in trees:
             assert subtrees._leaf_function_levels(list(levels), {}) == values, levels
         monkeypatch.setattr(subtrees, "_merge_up", counted)
 
 
+def test_searches_leave_nothing_to_the_cyclic_collector():
+    # the search is one loop over an explicit stack and no function of its
+    # own refers to it: a finished census, an exhausted enumeration and an
+    # abandoned search are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        verify.run_suite("trees", 13)
+        assert gc.collect() == 0
+        list(enumerate_free_trees(9))
+        assert gc.collect() == 0
+        search = subtrees._free_trees(3, 12)
+        next(search)
+        del search
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_census_search_matches_bruteforce():
     # each tree on at most 9 vertices, its values straight from the search
     for n in range(1, 10):
-        for (_, values), t in zip(subtrees._free_trees(n), enumerate_free_trees(n), strict=True):
+        for (_, values), t in zip(subtrees._free_trees(n, n), enumerate_free_trees(n),
+                                  strict=True):
             assert values == leaf_function_bruteforce(t).values, sorted(t.edges)
 
 
@@ -941,7 +1006,7 @@ def _naive_rows(shape) -> tuple[tuple, list]:
 def test_memo_rows_are_the_naive_counts():
     # each memoised shape, from one memo shared over the trees below
     memo = {}
-    trees = [list(levels) for n in range(1, 13) for levels, _ in subtrees._free_trees(n)]
+    trees = [list(levels) for levels, _ in subtrees._free_trees(1, 12)]
     trees += [_preorder_levels(t) for t in [star(300)] + [caterpillar_graph(s)
                                                           for s in all_sequences(9)]]
     for levels in trees:
@@ -960,20 +1025,26 @@ def test_shape_rows_are_the_naive_counts():
 
 def test_census_ends_at_the_root_s_last_merge(monkeypatch):
     # each of the census's trees ends at the merge of its center's last
-    # child, which writes the values and builds no row.  Through the tree DP,
-    # with one memo over the same trees, the root's last child is a memo hit
-    # in all but one of them, and its merge writes the values too
-    merge, last = subtrees._merge_up, [0]
+    # child, which writes the values and builds no row.  The one search
+    # makes its 154 shapes and grows 1,304 nodes below 13 vertices, one
+    # merge each: 3,744 merges in all.  Through the tree DP, with one memo
+    # over the same trees, the root's last child is a memo hit in all but
+    # one of them, and its merge writes the values too
+    merge, last, merges = subtrees._merge_up, [0], [0]
 
     def counted(parent, under, gift, grown=None):
         last[0] += grown is not None
+        merges[0] += 1
         merge(parent, under, gift, grown)
 
     monkeypatch.setattr(subtrees, "_merge_up", counted)
     reports = verify.run_suite("trees", 13)
     assert not any(r.failures for r in reports)
     assert sum(r.instances for r in reports) == last[0] == 2286
-    trees = [list(levels) for n in range(3, 14) for levels, _ in subtrees._free_trees(n)]
+    assert merges[0] == 3744
+    merges[0] = 0
+    assert len(subtrees._rooted_shapes(13)) == 155 and merges[0] == 154
+    trees = [list(levels) for n in range(3, 14) for levels, _ in subtrees._free_trees(n, n)]
     memo, last[0] = {}, 0
     for levels in trees:
         subtrees._leaf_function_levels(levels, memo)

@@ -177,11 +177,9 @@ def break_census(monkeypatch, broken: dict) -> None:
     on n vertices: the search is the census's one source of trees."""
     search = subtrees._free_trees
 
-    def trees(n):
-        found = list(search(n))
-        if n in broken:
-            found[0] = found[0][0], broken.pop(n)
-        return found
+    def trees(lo, hi):
+        for levels, values in search(lo, hi):
+            yield levels, broken.pop(len(levels), values)
 
     monkeypatch.setattr(verify, "_free_trees", trees)
 
@@ -253,13 +251,14 @@ def test_tree_census_words_match_the_leaf_word_oracle(monkeypatch):
     # every tree on 3 to 14 vertices goes through the census's law, each word
     # failing as if not prefix normal, so the census writes out the word of
     # each of the 5,445 trees; each must be the word that LeafFunction,
-    # delta_leaf_word and format_leaf_word read from the tree DP's values
-    trees = [tree for n in range(3, 15) for tree in subtrees._free_trees(n)]
-    monkeypatch.setattr(verify, "_free_trees", lambda n: trees if n == 12 else [])
+    # delta_leaf_word and format_leaf_word read from the tree DP's values.
+    # The search meets the sizes interleaved, and the failures come by size
+    trees = list(subtrees._free_trees(3, 14))
+    monkeypatch.setattr(verify, "_free_trees", lambda lo, hi: trees if (lo, hi) == (3, 12) else [])
     monkeypatch.setattr(words, "is_prefix_normal", lambda w: False)
     (report,) = verify.suite_trees(12)
     memo, want, distinct = {}, [], set()
-    for lv, _ in trees:
+    for lv, _ in sorted(trees, key=lambda tree: len(tree[0])):
         values = subtrees._leaf_function_levels(list(lv), memo)
         distinct.add(values)
         lw = delta_leaf_word(LeafFunction(len(lv), values))
@@ -290,3 +289,19 @@ def test_tree_census_builds_no_graph(monkeypatch):
     small, smallest = verify.run_suite("trees", 13)
     assert small.passed and smallest.passed
     assert (small.instances, smallest.instances) == (985, 1301)
+
+
+def test_tree_census_is_one_search(monkeypatch):
+    # both claims read one search over every size, and share its time
+    search, calls = subtrees._free_trees, []
+
+    def recorded(lo, hi):
+        calls.append((lo, hi))
+        return search(lo, hi)
+
+    monkeypatch.setattr(verify, "_free_trees", recorded)
+    small, smallest = verify.suite_trees(13)
+    (alone,) = verify.suite_trees(12)
+    assert calls == [(3, 13), (3, 12)]
+    assert small.seconds == smallest.seconds
+    assert (small.instances, smallest.instances, alone.instances) == (985, 1301, 985)
